@@ -525,6 +525,37 @@ void BM_CoarsenGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_CoarsenGraph)->Arg(2000)->Arg(8000);
 
+// BuildCoarsePlan alone at a constant expected degree (SBM probabilities
+// scaled by 1/n, ~60 union entries per row): with the degree fixed,
+// time per union nnz (the inverse of items_per_second) shows how far the
+// plan is from linear cost in the graph size. Wall time, since the matching
+// kernels run on the pool. Informational: not in the perf gate's baseline.
+void BM_CoarsenGraphConstantDegree(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const double scale = 1.0 / static_cast<double>(n);
+  Rng rng(79);
+  const std::vector<int32_t> labels = data::BalancedLabels(n, 4, &rng);
+  const std::vector<la::CsrMatrix> views = {
+      graph::NormalizedLaplacian(
+          data::SbmGraph(labels, 4, 80.0 * scale, 8.0 * scale, &rng)),
+      graph::NormalizedLaplacian(
+          data::SbmGraph(labels, 4, 40.0 * scale, 32.0 * scale, &rng))};
+  core::LaplacianAggregator aggregator(&views);
+  for (auto _ : state) {
+    coarse::CoarsePlan plan =
+        coarse::BuildCoarsePlan(aggregator.pattern(), views);
+    benchmark::DoNotOptimize(plan.fine_to_coarse.data());
+  }
+  state.SetItemsProcessed(state.iterations() * aggregator.pattern().nnz());
+  state.counters["union_nnz"] =
+      static_cast<double>(aggregator.pattern().nnz());
+}
+BENCHMARK(BM_CoarsenGraphConstantDegree)
+    ->Arg(4000)
+    ->Arg(16000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Steady-state incremental updates: a value-only delta (weight nudges on
 // existing edges) absorbed by UpdateGraph's copy-on-write epoch swap. The
 // epoch build allocates by design (new entry + donor aggregator); recorded

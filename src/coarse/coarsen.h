@@ -37,20 +37,22 @@ struct CoarsePlan {
 
 /// Multilevel greedy heavy-edge matching over the union pattern: per level,
 /// vertices are visited in ascending index order and each unmatched vertex
-/// pairs with its unmatched neighbor of maximum multiplicity (ties broken
-/// toward the smallest neighbor index); coarse ids are assigned by first
-/// appearance. Levels repeat until the target row count is reached or a
-/// level shrinks the graph by less than 5% (matching saturated). `views`
-/// supply the multiplicities — the number of views holding a structural
-/// entry per union slot.
+/// pairs with its unmatched neighbor of maximum affinity — the edge weight
+/// plus the weighted common neighborhood Σ_t min(w(u,t), w(v,t)) — with
+/// ties broken toward the smallest neighbor index; coarse ids are assigned
+/// by first appearance. Levels repeat until the target row count is reached
+/// or a level shrinks the graph by less than 5% (matching saturated).
+/// `views` supply the level-0 edge weights — the number of views holding a
+/// structural entry per union slot; contracted levels sum them.
 CoarsePlan BuildCoarsePlan(const la::CsrMatrix& union_pattern,
                            const std::vector<la::CsrMatrix>& views,
                            const CoarsenOptions& options = {});
 
 /// Localized repair after a pattern-changing delta: every coarse cluster
 /// containing a structurally-changed fine row is dissolved and its members
-/// re-matched (one greedy heavy-edge level among themselves, same tie-break
-/// as BuildCoarsePlan); untouched clusters keep their membership. All
+/// re-matched (one greedy heavy-edge level among themselves, same affinity
+/// and tie-break as BuildCoarsePlan's level 0, scored for the dissolved rows
+/// only); untouched clusters keep their membership. All
 /// cluster ids are renumbered by first fine-row appearance, so the repaired
 /// plan stays canonical. The result is a valid partition but NOT the plan a
 /// from-scratch coarsening would build — the registry falls back to a full

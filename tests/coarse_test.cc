@@ -1,19 +1,24 @@
 // Tiered-serving tests: coarse plan construction (valid canonical partition,
-// pure function of the sparsity patterns), bit-identity of the plan and of
-// fast-tier solves across SGLA_THREADS x shard counts, the fast tier's NMI
-// gap against exact on an SBM fixture, delta maintenance of the coarse
-// companion (value-only and above-churn pattern deltas must match a fresh
-// re-registration bit for bit; small pattern deltas repair in place), the
-// refined tier's strictly-fewer-Lanczos-iterations contract, and the
-// zero-allocation steady state of the coarse serving kernels.
+// pure function of the sparsity patterns, golden plan fingerprints pinned
+// across commits), bit-identity of the plan and of fast-tier solves across
+// SGLA_THREADS x shard counts, the affinity kernel and the restricted plan
+// repair against reference implementations on seeded-random inputs, the
+// fast tier's NMI gap against exact on an SBM fixture, delta maintenance of
+// the coarse companion (value-only and above-churn pattern deltas must match
+// a fresh re-registration bit for bit; small pattern deltas repair in
+// place), the refined tier's strictly-fewer-Lanczos-iterations contract, and
+// the zero-allocation steady state of the coarse serving kernels.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "coarse/affinity.h"
 #include "coarse/coarsen.h"
 #include "core/objective.h"
 #include "core/view_laplacian.h"
@@ -263,6 +268,333 @@ TEST(CoarsePlanTest, PlanAndFastSolveBitIdenticalAcrossThreadsAndShards) {
           << "threads=" << threads << " shards=" << shards;
       EXPECT_EQ(reference_labels, fast.labels)
           << "threads=" << threads << " shards=" << shards;
+    }
+  }
+}
+
+/// FNV-1a over the raw bytes of fine_to_coarse — the same fingerprint
+/// `sgla_bitdump --quality fast` prints as `map=`.
+uint64_t PlanFingerprint(const coarse::CoarsePlan& plan) {
+  uint64_t hash = 1469598103934665603ull;
+  const unsigned char* p =
+      reinterpret_cast<const unsigned char*>(plan.fine_to_coarse.data());
+  for (size_t i = 0; i < plan.fine_to_coarse.size() * sizeof(int64_t); ++i) {
+    hash ^= p[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(CoarsePlanTest, GoldenPlanFingerprints) {
+  // Pinned plans: any change to the matching, the affinity scores or the
+  // contraction shows up here as a different fingerprint, across commits
+  // and not only across thread/shard counts. The repair pins dissolve the
+  // clusters of every 97th row of each fixture's plan.
+  struct Golden {
+    int64_t n;
+    int k;
+    uint64_t seed;
+    int64_t coarse_rows;
+    uint64_t fingerprint;
+    int64_t repaired_rows;
+    uint64_t repaired_fingerprint;
+  };
+  const Golden goldens[] = {
+      {2000, 4, 1301, 200, 0x9ff9244400adcad7ull, 296, 0x6c23e33a6ed61c98ull},
+      {4096, 5, 1302, 410, 0xc0c572a93f6ee054ull, 618, 0x2f1f28c8982ca6ceull},
+  };
+  for (const Golden& golden : goldens) {
+    const CoarseFixture f = CoarseFixture::Make(golden.n, golden.k,
+                                                golden.seed);
+    auto views = core::ComputeViewLaplacians(f.mvag);
+    ASSERT_TRUE(views.ok());
+    core::LaplacianAggregator aggregator(&*views);
+    coarse::CoarsePlan plan =
+        coarse::BuildCoarsePlan(aggregator.pattern(), *views);
+    ExpectValidCanonicalPlan(plan);
+    EXPECT_EQ(plan.coarse_rows, golden.coarse_rows) << "n=" << golden.n;
+    EXPECT_EQ(PlanFingerprint(plan), golden.fingerprint)
+        << "n=" << golden.n << " fingerprint=0x" << std::hex
+        << PlanFingerprint(plan);
+
+    std::vector<bool> changed(static_cast<size_t>(golden.n), false);
+    for (int64_t i = 0; i < golden.n; i += 97) changed[i] = true;
+    coarse::RepairCoarsePlan(aggregator.pattern(), *views, changed, &plan);
+    ExpectValidCanonicalPlan(plan);
+    EXPECT_EQ(plan.coarse_rows, golden.repaired_rows) << "n=" << golden.n;
+    EXPECT_EQ(PlanFingerprint(plan), golden.repaired_fingerprint)
+        << "n=" << golden.n << " repaired fingerprint=0x" << std::hex
+        << PlanFingerprint(plan);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Affinity kernel and restricted repair against reference implementations
+// ---------------------------------------------------------------------------
+
+/// Reference affinity: a plain two-pointer merge of the sorted rows of u and
+/// v per edge slot, the oracle for EdgeAffinity's dense-scatter kernel.
+std::vector<int64_t> ReferenceAffinity(const coarse::LevelGraph& g) {
+  std::vector<int64_t> score(g.col.size(), 0);
+  for (int64_t u = 0; u < g.rows; ++u) {
+    for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
+      const int64_t v = g.col[p];
+      if (v == u) continue;
+      int64_t s = g.weight[p];
+      int64_t a = g.row_ptr[u];
+      int64_t b = g.row_ptr[v];
+      while (a < g.row_ptr[u + 1] && b < g.row_ptr[v + 1]) {
+        if (g.col[a] < g.col[b]) {
+          ++a;
+        } else if (g.col[b] < g.col[a]) {
+          ++b;
+        } else {
+          if (g.col[a] != u && g.col[a] != v) {
+            s += std::min(g.weight[a], g.weight[b]);
+          }
+          ++a;
+          ++b;
+        }
+      }
+      score[p] = s;
+    }
+  }
+  return score;
+}
+
+/// Reference repair: one greedy level among the dissolved rows, scored on
+/// the whole union graph with ReferenceAffinity — the oracle for
+/// RepairCoarsePlan, which scores the dissolved rows only.
+void ReferenceRepair(const la::CsrMatrix& union_pattern,
+                     const std::vector<la::CsrMatrix>& views,
+                     const std::vector<bool>& changed_rows,
+                     coarse::CoarsePlan* plan) {
+  const int64_t n = plan->fine_rows;
+  std::vector<bool> dirty(static_cast<size_t>(plan->coarse_rows), false);
+  bool any = false;
+  for (int64_t i = 0; i < n; ++i) {
+    if (changed_rows[i]) {
+      dirty[plan->fine_to_coarse[i]] = true;
+      any = true;
+    }
+  }
+  if (!any) return;
+  std::vector<bool> candidate(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    candidate[i] = dirty[plan->fine_to_coarse[i]];
+  }
+  coarse::LevelGraph level;
+  level.rows = n;
+  level.row_ptr = union_pattern.row_ptr;
+  level.col = union_pattern.col_idx;
+  level.weight = coarse::PatternMultiplicity(union_pattern, views);
+  const std::vector<int64_t> score = ReferenceAffinity(level);
+  std::vector<int64_t> match(static_cast<size_t>(n), -1);
+  for (int64_t u = 0; u < n; ++u) {
+    if (!candidate[u] || match[u] >= 0) continue;
+    int64_t best = -1;
+    int64_t best_w = 0;
+    for (int64_t p = level.row_ptr[u]; p < level.row_ptr[u + 1]; ++p) {
+      const int64_t v = level.col[p];
+      if (v == u || !candidate[v] || match[v] >= 0) continue;
+      if (score[p] > best_w) {
+        best = v;
+        best_w = score[p];
+      }
+    }
+    match[u] = best >= 0 ? best : u;
+    if (best >= 0) match[best] = u;
+  }
+  std::vector<int64_t> clean_id(static_cast<size_t>(plan->coarse_rows), -1);
+  std::vector<int64_t> pair_id(static_cast<size_t>(n), -1);
+  std::vector<int64_t> fresh(static_cast<size_t>(n));
+  int64_t next = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    int64_t& id = candidate[i] ? pair_id[std::min(i, match[i])]
+                               : clean_id[plan->fine_to_coarse[i]];
+    if (id < 0) id = next++;
+    fresh[i] = id;
+  }
+  plan->fine_to_coarse = std::move(fresh);
+  plan->coarse_rows = next;
+  plan->cluster_size.assign(static_cast<size_t>(next), 0);
+  for (int64_t c : plan->fine_to_coarse) ++plan->cluster_size[c];
+}
+
+/// Seeded-random level graph with ragged rows: a few dense hub rows, ~10%
+/// isolated rows (empty, or holding only the diagonal), an optional
+/// diagonal, weights in [0, max_weight], and — unless `symmetric` — edges
+/// whose mirror is missing or carries a different weight.
+coarse::LevelGraph RandomLevelGraph(Rng* rng, int64_t rows, bool symmetric,
+                                    bool diagonal, int64_t max_weight) {
+  std::vector<double> density(static_cast<size_t>(rows));
+  for (double& d : density) {
+    const double draw = rng->Uniform();
+    d = draw < 0.1 ? 0.0 : draw < 0.15 ? 0.8 : 0.05 + 0.2 * rng->Uniform();
+  }
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> adj(
+      static_cast<size_t>(rows));
+  for (int64_t u = 0; u < rows; ++u) {
+    if (diagonal && rng->Uniform() < 0.8) {
+      adj[u].push_back({u, rng->UniformInt(0, max_weight)});
+    }
+    for (int64_t v = u + 1; v < rows; ++v) {
+      if (rng->Uniform() >= std::min(density[u], density[v])) continue;
+      const int64_t w = rng->UniformInt(0, max_weight);
+      adj[u].push_back({v, w});
+      if (symmetric) {
+        adj[v].push_back({u, w});
+      } else if (rng->Uniform() < 0.7) {
+        adj[v].push_back({u, rng->UniformInt(0, max_weight)});
+      }
+    }
+  }
+  coarse::LevelGraph g;
+  g.rows = rows;
+  g.row_ptr.assign(static_cast<size_t>(rows) + 1, 0);
+  for (int64_t u = 0; u < rows; ++u) {
+    std::sort(adj[u].begin(), adj[u].end());
+    for (const auto& [v, w] : adj[u]) {
+      g.col.push_back(v);
+      g.weight.push_back(w);
+    }
+    g.row_ptr[u + 1] = static_cast<int64_t>(g.col.size());
+  }
+  return g;
+}
+
+TEST(CoarseAffinityTest, DenseScatterKernelMatchesReferenceSlotForSlot) {
+  const uint64_t seed = 20261017;
+  std::printf("CoarseAffinityTest seed=%llu\n",
+              static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+  ThreadCountGuard guard;
+  const int64_t fixed_rows[] = {0, 1, 2, 3, 17, 64};
+  for (int threads : {1, 4}) {
+    util::ThreadPool::SetGlobalThreads(threads);
+    for (int trial = 0; trial < 40; ++trial) {
+      const int64_t rows = trial < 6 ? fixed_rows[trial]
+                                     : rng.UniformInt(20, 400);
+      const bool symmetric = trial % 3 != 2;
+      const bool diagonal = trial % 2 == 0;
+      const int64_t max_weight = trial % 4 == 0 ? 1 : trial % 4 == 1 ? 3 : 40;
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " threads=" << threads
+                   << " trial=" << trial << " rows=" << rows
+                   << " symmetric=" << symmetric << " diagonal=" << diagonal
+                   << " max_weight=" << max_weight);
+      const coarse::LevelGraph g =
+          RandomLevelGraph(&rng, rows, symmetric, diagonal, max_weight);
+      const std::vector<int64_t> reference = ReferenceAffinity(g);
+      ASSERT_EQ(coarse::EdgeAffinity(g), reference);
+
+      // Restricted scoring: slots with both ends in the mask match the
+      // reference, every other slot stays 0.
+      const double keep = 0.25 * static_cast<double>(trial % 5);
+      std::vector<bool> mask(static_cast<size_t>(rows));
+      for (int64_t u = 0; u < rows; ++u) mask[u] = rng.Uniform() < keep;
+      const std::vector<int64_t> restricted = coarse::EdgeAffinity(g, &mask);
+      ASSERT_EQ(restricted.size(), reference.size());
+      for (int64_t u = 0; u < rows; ++u) {
+        for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
+          const bool scored = mask[u] && mask[g.col[p]];
+          ASSERT_EQ(restricted[p], scored ? reference[p] : 0)
+              << "slot (" << u << ", " << g.col[p] << ") keep=" << keep;
+        }
+      }
+    }
+  }
+}
+
+/// Structurally-changed rows between two view sets, as the registry
+/// computes them: a row changed if its pattern differs in some view.
+std::vector<bool> ChangedRows(const std::vector<la::CsrMatrix>& was,
+                              const std::vector<la::CsrMatrix>& now) {
+  std::vector<bool> changed(static_cast<size_t>(now[0].rows), false);
+  for (size_t v = 0; v < now.size(); ++v) {
+    for (int64_t i = 0; i < now[v].rows; ++i) {
+      changed[i] =
+          changed[i] ||
+          !std::equal(now[v].col_idx.begin() + now[v].row_ptr[i],
+                      now[v].col_idx.begin() + now[v].row_ptr[i + 1],
+                      was[v].col_idx.begin() + was[v].row_ptr[i],
+                      was[v].col_idx.begin() + was[v].row_ptr[i + 1]);
+    }
+  }
+  return changed;
+}
+
+TEST(CoarseAffinityTest, RestrictedRepairMatchesFullGraphRepair) {
+  const uint64_t seed = 7717;
+  std::printf("RestrictedRepairMatchesFullGraphRepair seed=%llu\n",
+              static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+  const CoarseFixture f = CoarseFixture::Make(1500, 3, 131);
+  auto views = core::ComputeViewLaplacians(f.mvag);
+  ASSERT_TRUE(views.ok());
+  core::LaplacianAggregator aggregator(&*views);
+  const coarse::CoarsePlan plan =
+      coarse::BuildCoarsePlan(aggregator.pattern(), *views);
+  const std::vector<graph::Edge>& edges = f.mvag.graph_views()[0].edges();
+
+  ThreadCountGuard guard;
+  for (int threads : {1, 4}) {
+    util::ThreadPool::SetGlobalThreads(threads);
+    for (int trial = 0; trial < 6; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " threads="
+                                        << threads << " trial=" << trial);
+      // A small pattern delta: a few removed edges and a few new ones.
+      serve::GraphViewDelta view_delta;
+      view_delta.view = 0;
+      for (int64_t r = rng.UniformInt(0, 4); r >= 0; --r) {
+        const graph::Edge& e =
+            edges[rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1)];
+        view_delta.removals.push_back({e.u, e.v});
+      }
+      for (int64_t a = rng.UniformInt(0, 4); a > 0; --a) {
+        const int64_t u = rng.UniformInt(0, f.mvag.num_nodes() - 1);
+        const int64_t v = rng.UniformInt(0, f.mvag.num_nodes() - 1);
+        if (u != v) view_delta.upserts.push_back({u, v, 1.0});
+      }
+      serve::GraphDelta delta;
+      delta.graph_views.push_back(std::move(view_delta));
+      core::MultiViewGraph post = f.mvag;
+      std::vector<bool> affected;
+      ASSERT_TRUE(serve::ApplyDelta(&post, delta, &affected).ok());
+      auto post_views = core::ComputeViewLaplacians(post);
+      ASSERT_TRUE(post_views.ok());
+      core::LaplacianAggregator post_aggregator(&*post_views);
+      const std::vector<bool> changed = ChangedRows(*views, *post_views);
+      ASSERT_NE(std::count(changed.begin(), changed.end(), true), 0);
+
+      coarse::CoarsePlan repaired = plan;
+      coarse::RepairCoarsePlan(post_aggregator.pattern(), *post_views,
+                               changed, &repaired);
+      coarse::CoarsePlan reference = plan;
+      ReferenceRepair(post_aggregator.pattern(), *post_views, changed,
+                      &reference);
+      ExpectValidCanonicalPlan(repaired);
+      ExpectSamePlan(repaired, reference);
+    }
+  }
+}
+
+TEST(CoarseAffinityTest, RestrictedMultiplicityCountsOnlyMaskedRows) {
+  const CoarseFixture f = CoarseFixture::Make(900, 3, 141);
+  auto views = core::ComputeViewLaplacians(f.mvag);
+  ASSERT_TRUE(views.ok());
+  core::LaplacianAggregator aggregator(&*views);
+  const la::CsrMatrix& pattern = aggregator.pattern();
+  const std::vector<int64_t> full =
+      coarse::PatternMultiplicity(pattern, *views);
+  std::vector<bool> mask(static_cast<size_t>(pattern.rows));
+  for (int64_t i = 0; i < pattern.rows; ++i) mask[i] = i % 7 == 3;
+  const std::vector<int64_t> restricted =
+      coarse::PatternMultiplicity(pattern, *views, &mask);
+  ASSERT_EQ(restricted.size(), full.size());
+  for (int64_t i = 0; i < pattern.rows; ++i) {
+    for (int64_t p = pattern.row_ptr[i]; p < pattern.row_ptr[i + 1]; ++p) {
+      ASSERT_EQ(restricted[p], mask[i] ? full[p] : 0) << "row " << i;
     }
   }
 }
