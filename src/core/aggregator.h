@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "la/lanczos.h"
 #include "la/sparse.h"
 #include "util/sharding.h"
 #include "util/task_queue.h"
@@ -19,23 +18,40 @@ namespace core {
 /// fused-multiply pass over the union nnz. This is the hot inner loop of the
 /// SGLA weight search (see DESIGN.md, "aggregator reuse").
 ///
+/// The aggregator also owns the graph's row partition (DESIGN.md,
+/// "Sharding"): one shard by default, or K contiguous shards whose interior
+/// boundaries are multiples of util::kShardAlign. Value fills, SELL refreshes
+/// and the objective's SpMV then run one TaskQueue job per shard over that
+/// shard's rows of the one full pattern (see util::ShardContext). Every
+/// kernel involved writes each row independently, so the bits do not depend
+/// on the shard count or the thread count.
+///
 /// The pattern is immutable after construction, so any number of threads may
-/// call the const AggregateInto() form concurrently, each with its own
+/// call the const AggregateValuesInto() form concurrently, each with its own
 /// output buffer — this is how the engine layer serves concurrent solves on
 /// one registered graph. The legacy Aggregate() writes into an internal
 /// buffer and therefore needs external serialization.
 class LaplacianAggregator {
  public:
   /// `views` must outlive the aggregator. All views share one shape.
-  explicit LaplacianAggregator(const std::vector<la::CsrMatrix>* views);
+  /// `boundaries` holds num_shards + 1 ascending row offsets —
+  /// boundaries[0] == 0, boundaries.back() == rows, every interior boundary
+  /// a multiple of util::kShardAlign (serve::MakeShardPlan produces
+  /// conforming plans); empty means one shard. `queue` runs the jobs of a
+  /// multi-shard partition; null runs them serially on the caller, same
+  /// bits.
+  explicit LaplacianAggregator(
+      const std::vector<la::CsrMatrix>* views,
+      std::vector<int64_t> boundaries = {},
+      std::shared_ptr<util::TaskQueue> queue = nullptr);
 
   /// Pattern-donor form for value-only graph updates: every view of `views`
   /// must have exactly the sparsity pattern of the matching donor view
   /// (checked), and the new aggregator copies the donor's union pattern,
-  /// scatter maps AND pattern_id instead of re-running the k-way merge.
-  /// Keeping the donor's pattern_id is the point — workspaces stamped with
-  /// it skip rebinding, so a value-only epoch swap costs zero pattern work
-  /// on the solve hot path.
+  /// scatter maps, row partition AND pattern_id instead of re-running the
+  /// k-way merge. Keeping the donor's pattern_id is the point — workspaces
+  /// stamped with it skip rebinding, so a value-only epoch swap costs zero
+  /// pattern work on the solve hot path.
   LaplacianAggregator(const std::vector<la::CsrMatrix>* views,
                       const LaplacianAggregator& donor);
 
@@ -46,6 +62,13 @@ class LaplacianAggregator {
   /// output CSR with it so a buffer last filled from a *different* aggregator
   /// is re-bound instead of trusted (engine workers hop between graphs).
   uint64_t pattern_id() const { return pattern_id_; }
+
+  int num_shards() const { return static_cast<int>(boundaries_.size()) - 1; }
+  const std::vector<int64_t>& boundaries() const { return boundaries_; }
+  /// The row partition + queue, for kernels outside the aggregator that
+  /// reuse the same shards (the objective's SpMV, clustering on the final
+  /// Laplacian). Valid while the aggregator lives.
+  util::ShardContext context() const;
 
   /// Returns the aggregate for `weights` (size == num_views()). The reference
   /// stays valid until the next Aggregate() call on this object.
@@ -59,158 +82,31 @@ class LaplacianAggregator {
   /// out->values; values content is unspecified. Reuses out's buffers.
   void BindPattern(la::CsrMatrix* out) const;
 
-  /// The SELL-C-σ form of the union pattern, materialized once at
-  /// construction (see la::SellMatrix). Values hold whatever was last pushed
-  /// through la::FillSellValues.
-  const la::SellMatrix& sell_pattern() const { return sell_; }
-
-  /// Copies the SELL form of the union pattern into `out`. Reuses out's
-  /// buffers, so rebinding a sufficiently large workspace is allocation-free.
-  /// Refresh values with la::FillSellValues(csr.values, out) after each
-  /// AggregateValuesInto.
+  /// Copies the SELL-C-σ form of the union pattern (see la::SellMatrix),
+  /// materialized once at construction, into `out`. Reuses out's buffers,
+  /// so rebinding a sufficiently large workspace is allocation-free.
   void BindSellPattern(la::SellMatrix* out) const;
 
   /// Fills out->values with sum_i w_i L_i over the union pattern; `out` must
-  /// have been bound with BindPattern() first (checked). Thread-safe across
-  /// distinct `out` buffers; allocation-free.
+  /// have been bound with BindPattern() first (checked). When `sell` is
+  /// non-null (bound with BindSellPattern), each shard job also refreshes
+  /// the SELL values of its rows. Thread-safe across distinct buffers;
+  /// allocation-free.
   void AggregateValuesInto(const std::vector<double>& weights,
-                           la::CsrMatrix* out) const;
+                           la::CsrMatrix* out,
+                           la::SellMatrix* sell = nullptr) const;
 
  private:
-  void FillValues(const std::vector<double>& weights, double* values) const;
+  /// Fills rows [row_begin, row_end) of the union pattern's values.
+  void FillValues(const std::vector<double>& weights, double* values,
+                  int64_t row_begin, int64_t row_end) const;
 
   const std::vector<la::CsrMatrix>* views_;
   la::CsrMatrix aggregate_;                      ///< union pattern, reused
   la::SellMatrix sell_;                          ///< SELL form of the pattern
   std::vector<std::vector<int64_t>> scatter_;    ///< view nnz -> union nnz
-  uint64_t pattern_id_ = 0;
-};
-
-/// Row-sharded counterpart of LaplacianAggregator for serving very large
-/// MVAGs: the views are row-partitioned at the given boundaries and each
-/// shard owns contiguous CSR slices of every view plus its own
-/// LaplacianAggregator (union pattern + scatter maps over the slice). The
-/// shard patterns concatenated are exactly the full union pattern, and each
-/// per-slot fill sums view contributions in the same ascending-view order,
-/// so sharded aggregation is bit-identical to the unsharded aggregator on
-/// the same views — at any shard count and any thread count.
-///
-/// Aggregation and SpMV dispatch one job per shard on the TaskQueue (see
-/// util::ShardContext): concurrent solves on different graphs interleave
-/// their shard jobs on the shared queue workers instead of serializing whole
-/// kernels through the global ThreadPool. Like LaplacianAggregator, the
-/// object is immutable after construction; any number of threads may
-/// aggregate concurrently into distinct output buffers.
-class ShardedAggregator {
- public:
-  /// `views` must outlive the aggregator (full-size views are kept for the
-  /// SGLA+ node-sampling path). `boundaries` holds num_shards + 1 ascending
-  /// row offsets — boundaries[0] == 0, boundaries.back() == rows — and every
-  /// interior boundary must be a multiple of util::kShardAlign (the rule
-  /// that keeps chunked reductions bit-identical; serve::MakeShardPlan
-  /// produces conforming plans). `queue` may be null: shards then run
-  /// serially on the caller, same bits.
-  ShardedAggregator(const std::vector<la::CsrMatrix>* views,
-                    std::vector<int64_t> boundaries,
-                    std::shared_ptr<util::TaskQueue> queue);
-
-  /// Incremental-update form: rebuilds only what a graph delta touched.
-  /// `views` holds the post-update views (same shapes and boundaries as the
-  /// donor's); `view_changed[v]` marks views the delta affected. Unaffected
-  /// views' shard slices are copied from the donor; affected views are
-  /// re-sliced, and a shard re-runs its union-pattern merge only when one of
-  /// its affected slices actually changed sparsity — otherwise the shard
-  /// aggregator is donor-copied (pattern + scatter, no merge). The outer
-  /// pattern_id is preserved iff every shard kept its pattern, so value-only
-  /// deltas leave bound shard workspaces valid.
-  ShardedAggregator(const std::vector<la::CsrMatrix>* views,
-                    const ShardedAggregator& donor,
-                    const std::vector<bool>& view_changed);
-
-  int num_views() const { return static_cast<int>(views_->size()); }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  int64_t rows() const { return boundaries_.back(); }
-  const std::vector<la::CsrMatrix>& views() const { return *views_; }
-  const std::vector<int64_t>& boundaries() const { return boundaries_; }
-  /// Process-unique pattern id (same stamp-and-rebind contract as
-  /// LaplacianAggregator::pattern_id, covering all shard buffers at once).
-  uint64_t pattern_id() const { return pattern_id_; }
-  int64_t pattern_nnz() const { return nnz_offsets_.back(); }
-  const LaplacianAggregator& shard_aggregator(int shard) const {
-    return *shards_[static_cast<size_t>(shard)]->aggregator;
-  }
-  /// The row partition + queue, for kernels outside the aggregator that
-  /// reuse the same shards (clustering on the final Laplacian).
-  util::ShardContext context() const;
-
-  /// Sizes `out` to one CSR per shard and binds each to its shard's union
-  /// pattern (values zeroed). Reuses the buffers' capacity.
-  void BindPattern(std::vector<la::CsrMatrix>* out) const;
-
-  /// Sizes `out` to one SELL matrix per shard and binds each to the SELL form
-  /// of that shard's union pattern. Shard boundaries are kShardAlign-aligned
-  /// and the SELL sort window equals kShardAlign, so the concatenated shard
-  /// SELLs sort rows exactly like one SELL built over the full pattern.
-  void BindSellPattern(std::vector<la::SellMatrix>* out) const;
-
-  /// Refreshes every shard SELL's values from the matching filled CSR shard
-  /// buffer — one TaskQueue job per shard, allocation-free. Both vectors must
-  /// have been bound against this aggregator's current pattern.
-  void FillSellValues(const std::vector<la::CsrMatrix>& shard_values,
-                      std::vector<la::SellMatrix>* out) const;
-
-  /// Fills every shard buffer with its row slice of sum_i w_i L_i — one
-  /// TaskQueue job per shard. `out` must have been bound with BindPattern().
-  void AggregateValuesInto(const std::vector<double>& weights,
-                           std::vector<la::CsrMatrix>* out) const;
-
-  /// Binds `out` to the full-size union pattern (the shard patterns
-  /// concatenated; bit-identical to LaplacianAggregator::BindPattern on the
-  /// same views). Values zeroed.
-  void BindFullPattern(la::CsrMatrix* out) const;
-
-  /// Copies shard values (filled by AggregateValuesInto) into the matching
-  /// slots of a full-size CSR bound with BindFullPattern().
-  void GatherValues(const std::vector<la::CsrMatrix>& shard_values,
-                    la::CsrMatrix* out) const;
-
-  /// Caller-owned context tying filled shard buffers to their aggregator for
-  /// the matrix-free operator below. Kept by value on the caller's stack or
-  /// in its workspace (the aggregator itself is shared by concurrent solves
-  /// and must not cache per-solve state).
-  struct SpmvContext {
-    const ShardedAggregator* aggregator = nullptr;
-    const std::vector<la::CsrMatrix>* shard_values = nullptr;
-    /// When non-null, applications run the cache-blocked SELL kernel over
-    /// these per-shard matrices (bound with BindSellPattern and refreshed
-    /// with FillSellValues) instead of the CSR slices. Under SGLA_ISA=scalar
-    /// both paths produce the same bits.
-    const std::vector<la::SellMatrix>* shard_sell = nullptr;
-  };
-
-  /// Matrix-free operator over filled shard buffers: each application runs
-  /// one row-shard SpMV job per shard (y writes are row-disjoint, so the
-  /// result equals the unsharded SpMV bit for bit). `ctx` — and everything
-  /// it points at — must outlive the returned operator, and the buffers must
-  /// stay bound to this pattern while it is applied.
-  static la::SpmvOperator OperatorOver(const SpmvContext* ctx);
-
- private:
-  struct Shard {
-    int64_t begin = 0;
-    int64_t end = 0;
-    std::vector<la::CsrMatrix> views;  ///< row slices, full column width
-    /// Built after `views` is in place (it points into the shard).
-    std::unique_ptr<LaplacianAggregator> aggregator;
-  };
-
-  static void ShardedApply(const void* ctx, const double* x, double* y);
-
-  const std::vector<la::CsrMatrix>* views_;
-  std::vector<int64_t> boundaries_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<int64_t> nnz_offsets_;  ///< shard -> first slot in the full CSR
-  std::shared_ptr<util::TaskQueue> queue_;
+  std::vector<int64_t> boundaries_;              ///< row partition
+  std::shared_ptr<util::TaskQueue> queue_;       ///< shard jobs (K > 1)
   uint64_t pattern_id_ = 0;
 };
 

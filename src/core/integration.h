@@ -54,20 +54,12 @@ Result<IntegrationResult> Sgla(const std::vector<la::CsrMatrix>& views, int k,
 /// prebuilt shared state — e.g. owned by a serve::GraphRegistry entry — and
 /// `workspace` supplies every hot-loop buffer, so steady-state objective
 /// evaluations allocate nothing. Bit-identical to Sgla() over the same
-/// views at any thread count. Concurrent callers may share `aggregator` but
-/// must each bring their own workspace.
+/// views at any thread count and at any shard count of `aggregator`.
+/// Concurrent callers may share `aggregator` but must each bring their own
+/// workspace.
 Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator,
                                            int k, const SglaOptions& options,
                                            EvalWorkspace* workspace);
-
-/// Row-sharded session form: every objective evaluation aggregates and
-/// applies the Laplacian shard-by-shard (one TaskQueue job per shard; see
-/// core::ShardedAggregator). Weights, histories, and the final Laplacian
-/// are bit-identical to SglaOnAggregator / Sgla on the same views at any
-/// shard count and any thread count.
-Result<IntegrationResult> SglaOnShards(const ShardedAggregator& aggregator,
-                                       int k, const SglaOptions& options,
-                                       ShardedEvalWorkspace* workspace);
 
 struct SglaPlusOptions {
   SglaOptions base;
@@ -90,20 +82,12 @@ Result<IntegrationResult> SglaPlus(const std::vector<la::CsrMatrix>& views,
                                    int k, const SglaPlusOptions& options = {});
 
 /// Session form of SglaPlus; see SglaOnAggregator. The node-sampling path
-/// still builds its induced subgraph (and a sampled aggregator) per call —
-/// only the objective evaluations inside reuse `workspace`.
+/// still builds its induced subgraph (and a one-shard sampled aggregator)
+/// per call — only the objective evaluations inside reuse `workspace`, and
+/// the final full-size aggregation runs on `aggregator`'s shards.
 Result<IntegrationResult> SglaPlusOnAggregator(
     const LaplacianAggregator& aggregator, int k,
     const SglaPlusOptions& options, EvalWorkspace* workspace);
-
-/// Row-sharded session form of SglaPlus; bit-identical to
-/// SglaPlusOnAggregator on the same views. When node sampling kicks in the
-/// sampled-subgraph evaluations run unsharded (the induced subgraph is small
-/// by construction) — only the final full-size aggregation is sharded.
-Result<IntegrationResult> SglaPlusOnShards(const ShardedAggregator& aggregator,
-                                           int k,
-                                           const SglaPlusOptions& options,
-                                           ShardedEvalWorkspace* workspace);
 
 /// The default SGLA+ sample set for r views: the uniform vector plus r
 /// vertex-leaning vectors (r+1 samples, matching the paper's r+1 default).

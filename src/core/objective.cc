@@ -5,6 +5,23 @@
 
 namespace sgla {
 namespace core {
+namespace {
+
+/// la::SpmvOperator context for the objective's eigensolve: each application
+/// runs one SELL SpMV job per shard of the aggregator's row partition.
+struct ShardedSell {
+  util::ShardContext shards;
+  const la::SellMatrix* sell;
+};
+
+void ShardedSellApply(const void* ctx, const double* x, double* y) {
+  const ShardedSell& bound = *static_cast<const ShardedSell*>(ctx);
+  bound.shards.Run([&bound, x, y](int, int64_t lo, int64_t hi) {
+    la::SellSpmvRows(*bound.sell, x, y, lo, hi);
+  });
+}
+
+}  // namespace
 
 SpectralObjective::SpectralObjective(const std::vector<la::CsrMatrix>* views,
                                      int k, const ObjectiveOptions& options)
@@ -23,44 +40,15 @@ SpectralObjective::SpectralObjective(const LaplacianAggregator* aggregator,
       k_(k),
       options_(options) {}
 
-SpectralObjective::SpectralObjective(const ShardedAggregator* aggregator,
-                                     int k, const ObjectiveOptions& options,
-                                     ShardedEvalWorkspace* workspace)
-    : aggregator_(nullptr),
-      sharded_(aggregator),
-      workspace_(&workspace->base),
-      sharded_workspace_(workspace),
-      k_(k),
-      options_(options) {}
-
 void SpectralObjective::AggregateIntoWorkspace(
-    const std::vector<double>& weights) {
-  if (sharded_ != nullptr) {
-    if (sharded_workspace_->bound_pattern != sharded_->pattern_id()) {
-      sharded_->BindPattern(&sharded_workspace_->shard_aggregate);
-      sharded_->BindSellPattern(&sharded_workspace_->shard_sell);
-      sharded_workspace_->bound_pattern = sharded_->pattern_id();
-    }
-    sharded_->AggregateValuesInto(weights,
-                                  &sharded_workspace_->shard_aggregate);
-    return;
-  }
+    const std::vector<double>& weights, bool with_sell) {
   if (workspace_->bound_pattern != aggregator_->pattern_id()) {
     aggregator_->BindPattern(&workspace_->aggregate);
     aggregator_->BindSellPattern(&workspace_->sell);
     workspace_->bound_pattern = aggregator_->pattern_id();
   }
-  aggregator_->AggregateValuesInto(weights, &workspace_->aggregate);
-}
-
-const la::CsrMatrix& SpectralObjective::MaterializeFull() {
-  if (sharded_workspace_->full_bound != sharded_->pattern_id()) {
-    sharded_->BindFullPattern(&sharded_workspace_->full);
-    sharded_workspace_->full_bound = sharded_->pattern_id();
-  }
-  sharded_->GatherValues(sharded_workspace_->shard_aggregate,
-                         &sharded_workspace_->full);
-  return sharded_workspace_->full;
+  aggregator_->AggregateValuesInto(weights, &workspace_->aggregate,
+                                   with_sell ? &workspace_->sell : nullptr);
 }
 
 Result<ObjectiveValue> SpectralObjective::Evaluate(
@@ -77,7 +65,6 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
     return InvalidArgument("view weights must lie on the simplex");
   }
 
-  AggregateIntoWorkspace(weights);
   // Convex combinations of normalized Laplacians keep the spectrum in [0, 2].
   la::LanczosOptions lanczos;
   lanczos.max_subspace = options_.lanczos_subspace;
@@ -87,39 +74,24 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
   lanczos.warm_start = options_.warm_start;
   la::LanczosStats stats;
   Status solved;
-  if (sharded_ != nullptr &&
-      !la::UsesDenseFallback(sharded_->rows(), k_ + 1)) {
-    // Each Lanczos mat-vec runs one SELL SpMV job per shard; everything else
-    // in the iteration (dots, panels, Rayleigh-Ritz) is the same code on the
-    // same full-length vectors, so under scalar the solve matches the CSR
-    // path bit for bit. The SELL value refresh is a pure permutation of the
-    // filled CSR values, allocation-free on a bound workspace.
-    sharded_->FillSellValues(sharded_workspace_->shard_aggregate,
-                             &sharded_workspace_->shard_sell);
-    ShardedAggregator::SpmvContext ctx{sharded_,
-                                       &sharded_workspace_->shard_aggregate,
-                                       &sharded_workspace_->shard_sell};
-    solved = la::SmallestEigenpairsInto(ShardedAggregator::OperatorOver(&ctx),
-                                        k_ + 1, 2.0, lanczos,
-                                        &workspace_->lanczos,
-                                        &workspace_->eigen, &stats);
-  } else if (sharded_ != nullptr) {
-    // Problem small enough for the dense fallback: materialize the full
-    // aggregate and take the CSR path (identical to the unsharded solve).
-    solved = la::SmallestEigenpairsInto(MaterializeFull(), k_ + 1, 2.0,
-                                        lanczos, &workspace_->lanczos,
-                                        &workspace_->eigen, &stats);
-  } else if (!la::UsesDenseFallback(workspace_->aggregate.rows, k_ + 1)) {
-    // Lanczos-sized problem: route mat-vecs through the SELL form of the
-    // aggregate (scalar-bit-identical to the CSR form; see la/sparse.h).
-    la::FillSellValues(workspace_->aggregate.values, &workspace_->sell);
-    solved = la::SmallestEigenpairsInto(la::SellSpmvOperator(workspace_->sell),
-                                        k_ + 1, 2.0, lanczos,
-                                        &workspace_->lanczos,
-                                        &workspace_->eigen, &stats);
-  } else {
+  const bool dense = la::UsesDenseFallback(aggregator_->pattern().rows, k_ + 1);
+  AggregateIntoWorkspace(weights, /*with_sell=*/!dense);
+  if (dense) {
     solved = la::SmallestEigenpairsInto(workspace_->aggregate, k_ + 1, 2.0,
                                         lanczos, &workspace_->lanczos,
+                                        &workspace_->eigen, &stats);
+  } else {
+    // Lanczos-sized problem: route mat-vecs through the SELL form of the
+    // aggregate (scalar-bit-identical to the CSR form; see la/sparse.h),
+    // one job per shard. Everything else in the iteration (dots, panels,
+    // Rayleigh-Ritz) runs on the caller over full-length vectors.
+    ShardedSell sharded{aggregator_->context(), &workspace_->sell};
+    la::SpmvOperator op;
+    op.rows = workspace_->sell.rows;
+    op.apply = &ShardedSellApply;
+    op.ctx = &sharded;
+    solved = la::SmallestEigenpairsInto(op, k_ + 1, 2.0, lanczos,
+                                        &workspace_->lanczos,
                                         &workspace_->eigen, &stats);
   }
   if (!solved.ok()) return solved;
@@ -148,8 +120,7 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
     // SpmvDense is row-parallel with a fixed grain and Dot is a single
     // contiguous pass, so the penalty is bit-deterministic across thread
     // counts — the serving determinism contract survives robust mode.
-    const std::vector<la::CsrMatrix>& views =
-        sharded_ != nullptr ? sharded_->views() : aggregator_->views();
+    const std::vector<la::CsrMatrix>& views = aggregator_->views();
     const la::DenseMatrix& u = workspace_->eigen.vectors;
     const int64_t cols = u.cols();
     workspace_->robust_r.resize(views.size());
@@ -181,8 +152,7 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
 
 const la::CsrMatrix& SpectralObjective::AggregateAt(
     const std::vector<double>& weights) {
-  AggregateIntoWorkspace(weights);
-  if (sharded_ != nullptr) return MaterializeFull();
+  AggregateIntoWorkspace(weights, /*with_sell=*/false);
   return workspace_->aggregate;
 }
 

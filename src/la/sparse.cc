@@ -192,40 +192,37 @@ void BuildSellPattern(const CsrMatrix& m, SellMatrix* out) {
 }
 
 void FillSellValues(const std::vector<double>& csr_values, SellMatrix* out) {
+  FillSellValues(csr_values, out, 0, static_cast<int64_t>(csr_values.size()));
+}
+
+void FillSellValues(const std::vector<double>& csr_values, SellMatrix* out,
+                    int64_t entry_begin, int64_t entry_end) {
   SGLA_CHECK(csr_values.size() == out->value_slot.size())
       << "FillSellValues nnz mismatch (pattern not built for this CSR?)";
-  for (size_t p = 0; p < csr_values.size(); ++p) {
-    out->values[static_cast<size_t>(out->value_slot[p])] = csr_values[p];
+  for (int64_t p = entry_begin; p < entry_end; ++p) {
+    out->values[static_cast<size_t>(out->value_slot[static_cast<size_t>(p)])] =
+        csr_values[static_cast<size_t>(p)];
   }
 }
 
 void SellSpmv(const SellMatrix& m, const double* x, double* y) {
+  SellSpmvRows(m, x, y, 0, m.rows);
+}
+
+void SellSpmvRows(const SellMatrix& m, const double* x, double* y,
+                  int64_t row_begin, int64_t row_end) {
+  SGLA_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= m.rows &&
+             row_begin % kSellSortWindow == 0 &&
+             (row_end % kSellSortWindow == 0 || row_end == m.rows))
+      << "SellSpmvRows range must cover whole sort windows";
   const simd::KernelTable* table = simd::ActiveTable();
   util::ThreadPool::Global().ParallelFor(
-      0, m.num_slices(), kSellSliceGrain,
-      [&m, x, y, table](int64_t lo, int64_t hi) {
+      row_begin / kSellLanes, (row_end + kSellLanes - 1) / kSellLanes,
+      kSellSliceGrain, [&m, x, y, table](int64_t lo, int64_t hi) {
         table->sell_spmv(m.slice_ptr.data(), m.col_idx.data(),
                          m.values.data(), m.row_len.data(), m.perm.data(), x,
                          y, lo, hi);
       });
-}
-
-CsrMatrix RowSlice(const CsrMatrix& m, int64_t row_begin, int64_t row_end) {
-  SGLA_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= m.rows)
-      << "RowSlice range out of bounds";
-  CsrMatrix out;
-  out.rows = row_end - row_begin;
-  out.cols = m.cols;
-  out.row_ptr.resize(static_cast<size_t>(out.rows) + 1);
-  const int64_t base = m.row_ptr[static_cast<size_t>(row_begin)];
-  for (int64_t r = 0; r <= out.rows; ++r) {
-    out.row_ptr[static_cast<size_t>(r)] =
-        m.row_ptr[static_cast<size_t>(row_begin + r)] - base;
-  }
-  const int64_t nnz = m.row_ptr[static_cast<size_t>(row_end)] - base;
-  out.col_idx.assign(m.col_idx.begin() + base, m.col_idx.begin() + base + nnz);
-  out.values.assign(m.values.begin() + base, m.values.begin() + base + nnz);
-  return out;
 }
 
 void SpmvDense(const CsrMatrix& m, const DenseMatrix& x, DenseMatrix* y) {

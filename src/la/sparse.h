@@ -74,10 +74,23 @@ void BuildSellPattern(const CsrMatrix& m, SellMatrix* out);
 /// padding slots keep their 0.0.
 void FillSellValues(const std::vector<double>& csr_values, SellMatrix* out);
 
+/// FillSellValues restricted to CSR entries [entry_begin, entry_end) — a
+/// row shard's entries, so shard jobs refresh disjoint slots.
+void FillSellValues(const std::vector<double>& csr_values, SellMatrix* out,
+                    int64_t entry_begin, int64_t entry_end);
+
 /// y = M * x over the SELL form; bit-identical at any thread count, and
 /// under SGLA_ISA=scalar bit-identical to Spmv on the source CSR (the
 /// scalar kernel walks each row's entries in CSR order, skipping padding).
 void SellSpmv(const SellMatrix& m, const double* x, double* y);
+
+/// SellSpmv restricted to the slices covering rows [row_begin, row_end);
+/// row_begin must be a multiple of kSellSortWindow and row_end one too or
+/// m.rows, so the range holds whole sort windows and the rows written are
+/// exactly the range. Chunks through the global ThreadPool like SellSpmv
+/// (inline inside shard jobs); y is indexed by global row.
+void SellSpmvRows(const SellMatrix& m, const double* x, double* y,
+                  int64_t row_begin, int64_t row_end);
 
 /// Builds CSR from triplets, summing duplicates; entries sorted by (row, col).
 CsrMatrix FromTriplets(int64_t rows, int64_t cols, std::vector<Triplet> entries);
@@ -92,11 +105,6 @@ void Spmv(const CsrMatrix& m, const double* x, double* y);
 /// reproduces Spmv bit for bit.
 void SpmvRows(const CsrMatrix& m, const double* x, double* y,
               int64_t row_begin, int64_t row_end);
-
-/// Rows [row_begin, row_end) of m as their own CSR: row_ptr rebased to 0,
-/// column space unchanged (slices of a square matrix stay multipliable by
-/// full-length vectors). Values and columns are copied in row order.
-CsrMatrix RowSlice(const CsrMatrix& m, int64_t row_begin, int64_t row_end);
 
 /// Y = M * X for a dense block X (n x d), written into Y (rows x d).
 void SpmvDense(const CsrMatrix& m, const DenseMatrix& x, DenseMatrix* y);

@@ -198,11 +198,12 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Registers a graph on the underlying registry. `options.shards` is the
-  /// row-shard knob: 1 (default) is today's unsharded path; K > 1 serves
-  /// every solve on this graph shard-by-shard through the registry's shard
-  /// queue — bit-identical responses (asserted in tests), but one large
-  /// solve no longer monopolizes the kernel pool, so many big graphs can be
-  /// served concurrently.
+  /// row-shard knob: 1 (default) runs each solve's kernels chunked through
+  /// the global ThreadPool; K > 1 runs them one job per shard through the
+  /// registry's shard queue — the same code path and bit-identical
+  /// responses (asserted in tests), but one large solve no longer
+  /// monopolizes the kernel pool, so many big graphs can be served
+  /// concurrently.
   Result<std::shared_ptr<const GraphEntry>> RegisterGraph(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options = {});
@@ -303,13 +304,13 @@ class Engine {
   }
 
  private:
-  /// Per-session reusable state; index = session worker id. The sharded
-  /// workspace carries the per-shard aggregate buffers — per session, not
-  /// per graph: like `eval`, it is stamped with the pattern it was bound to
-  /// and rebound when the session hops to a different sharded graph.
+  /// Per-session reusable state; index = session worker id. Per session,
+  /// not per graph: `eval` is stamped with the pattern it was last bound to
+  /// (a graph's full pattern, or the sampled pattern of an SGLA+
+  /// node-sampled solve) and rebound when the session hops to another one,
+  /// whatever the graph's shard count.
   struct SessionWorkspace {
     core::EvalWorkspace eval;
-    core::ShardedEvalWorkspace sharded_eval;
     cluster::SpectralWorkspace cluster;
     /// Coarse-tier scratch, sized by the coarse companion (~ratio * n): the
     /// fast tier's whole pipeline and the refined tier's pre-solve run here,

@@ -124,14 +124,23 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
 
 }  // namespace
 
-std::shared_ptr<util::TaskQueue> GraphRegistry::ShardQueue() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shard_queue_ == nullptr) {
-    // Same sizing rule as the kernel pool (SGLA_THREADS override included),
-    // so sanitizer gates that pin the pool width pin the shard width too.
-    shard_queue_.reset(new util::TaskQueue(util::ThreadPool::DefaultThreads()));
+std::unique_ptr<core::LaplacianAggregator> GraphRegistry::MakeAggregator(
+    const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries) {
+  std::shared_ptr<util::TaskQueue> queue;
+  if (boundaries.size() > 2) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (shard_queue_ == nullptr) {
+      // Same sizing rule as the kernel pool (SGLA_THREADS override
+      // included), so sanitizer gates that pin the pool width pin the shard
+      // width too.
+      shard_queue_.reset(
+          new util::TaskQueue(util::ThreadPool::DefaultThreads()));
+    }
+    queue = shard_queue_;
   }
-  return shard_queue_;
+  return std::unique_ptr<core::LaplacianAggregator>(
+      new core::LaplacianAggregator(views, std::move(boundaries),
+                                    std::move(queue)));
 }
 
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
@@ -185,19 +194,10 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
   }
   const std::vector<la::CsrMatrix>* serving =
       entry->active_views.empty() ? &entry->views : &entry->active_views;
-  entry->aggregator.reset(new core::LaplacianAggregator(serving));
-  if (options.shards > 1 && entry->num_nodes > 0) {
-    ShardPlan plan = MakeShardPlan(entry->num_nodes, options.shards);
-    // A plan that collapsed to one shard is exactly the unsharded path;
-    // don't pay for slices that would add nothing.
-    if (plan.num_shards() > 1) {
-      std::vector<int64_t> boundaries = plan.boundaries;
-      entry->sharded.reset(new ShardedGraphEntry{
-          std::move(plan), core::ShardedAggregator(serving,
-                                                   std::move(boundaries),
-                                                   ShardQueue())});
-    }
-  }
+  entry->aggregator = MakeAggregator(
+      serving, entry->num_nodes > 0
+                   ? MakeShardPlan(entry->num_nodes, options.shards).boundaries
+                   : std::vector<int64_t>());
   entry->coarsen_ratio = options.coarsen_ratio > 0.0 ? options.coarsen_ratio
                                                      : 0.0;
   entry->coarse = BuildCoarseEntry(*entry, mvag, options.knn,
@@ -218,9 +218,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
     const std::string& id, const core::MultiViewGraph& mvag,
     const RegisterOptions& options) {
-  // The expensive part (KNN construction, Laplacians, union pattern, shard
-  // slices) runs before the lock, so registration never stalls concurrent
-  // Find/Evict.
+  // The expensive part (KNN construction, Laplacians, union pattern) runs
+  // before the lock, so registration never stalls concurrent Find/Evict.
   auto views = core::ComputeViewLaplacians(mvag, options.knn);
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<GraphEntry>();
@@ -430,17 +429,11 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     BuildActiveState(entry.get());
     const std::vector<la::CsrMatrix>* serving =
         entry->active_views.empty() ? &entry->views : &entry->active_views;
-    entry->aggregator.reset(new core::LaplacianAggregator(serving));
-    if (old->sharded != nullptr) {
-      // Same node count, same shard option: the carried plan is exactly what
-      // MakeShardPlan would rebuild, so fresh-registration bit-identity holds.
-      ShardPlan plan = old->sharded->plan;
-      std::vector<int64_t> boundaries = plan.boundaries;
-      entry->sharded.reset(new ShardedGraphEntry{
-          std::move(plan), core::ShardedAggregator(serving,
-                                                   std::move(boundaries),
-                                                   ShardQueue())});
-    }
+    // Same node count, same shard option: the carried partition is exactly
+    // what MakeShardPlan would rebuild, so fresh-registration bit-identity
+    // holds.
+    entry->aggregator =
+        MakeAggregator(serving, old->aggregator->boundaries());
     entry->coarse = BuildCoarseEntry(*entry, &source->mvag, source->knn,
                                      entry->coarsen_ratio);
 
@@ -505,18 +498,13 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   // Value-only deltas donor-copy the union pattern + scatter maps under the
   // *same* pattern_id, so session workspaces bound to the previous epoch
   // re-scatter values without any rebinding. Pattern-changing deltas re-run
-  // the full union merge for the unsharded aggregator, but the sharded one
-  // re-merges only the shards whose slices changed.
-  entry->aggregator.reset(
-      value_only ? new core::LaplacianAggregator(&entry->views,
-                                                 *old->aggregator)
-                 : new core::LaplacianAggregator(&entry->views));
-  if (old->sharded != nullptr) {
-    ShardPlan plan = old->sharded->plan;
-    entry->sharded.reset(new ShardedGraphEntry{
-        std::move(plan),
-        core::ShardedAggregator(&entry->views, old->sharded->aggregator,
-                                affected)});
+  // the union merge on the same row partition.
+  if (value_only) {
+    entry->aggregator.reset(
+        new core::LaplacianAggregator(&entry->views, *old->aggregator));
+  } else {
+    entry->aggregator =
+        MakeAggregator(&entry->views, old->aggregator->boundaries());
   }
 
   // Coarse companion maintenance (DESIGN.md "Tiered serving"). Value-only

@@ -25,12 +25,12 @@ namespace serve {
 /// Registration-time knobs.
 struct RegisterOptions {
   graph::KnnOptions knn;  ///< attribute-view KNN construction
-  /// Row shards to partition the graph into. 1 (default) serves the graph
-  /// through the unsharded path; K > 1 row-partitions the view Laplacians
-  /// and every hot kernel of its solves into K contiguous shards that run as
-  /// independent TaskQueue jobs — bit-identical output, but no single large
-  /// solve monopolizes the kernel pool. Clamped to the chunk count, so small
-  /// graphs quietly stay unsharded.
+  /// Row shards to partition the graph into. 1 (default) runs every hot
+  /// kernel of its solves chunked through the global ThreadPool; K > 1
+  /// row-partitions them into K contiguous shards that run as independent
+  /// TaskQueue jobs over the one union pattern — bit-identical output, but
+  /// no single large solve monopolizes the kernel pool. Clamped to the
+  /// chunk count, so small graphs quietly stay at one shard.
   int shards = 1;
   /// Keep a working copy of the MultiViewGraph so UpdateGraph can apply
   /// deltas (default). Costs roughly the registration-time graph footprint
@@ -53,17 +53,6 @@ struct RegisterOptions {
   bool robust_views = false;
 };
 
-/// Row-sharded serving state of a registered graph: the deterministic shard
-/// plan plus the sharded aggregator owning per-shard CSR slices of every
-/// view Laplacian and a per-shard union pattern. Immutable and shared by
-/// concurrent solves exactly like the entry that owns it; the per-shard
-/// *workspaces* (mutable aggregate buffers) live in the engine's session
-/// workspaces, one set per concurrent solve.
-struct ShardedGraphEntry {
-  ShardPlan plan;
-  core::ShardedAggregator aggregator;
-};
-
 /// Coarse serving companion of a registered graph: the prolongation plan
 /// (multilevel heavy-edge matching over the union pattern), the contracted
 /// per-view Laplacians on the coarse node set, and an aggregator over them.
@@ -82,9 +71,10 @@ struct CoarseGraphEntry {
 };
 
 /// Immutable per-graph serving state, built once at registration: the view
-/// Laplacians and the aggregator holding their union sparsity pattern. Every
-/// solve on the graph reads this and only this — no solve mutates it — so
-/// any number of concurrent solves may share one entry.
+/// Laplacians and the aggregator holding their union sparsity pattern and
+/// the graph's row partition. Every solve on the graph reads this and only
+/// this — no solve mutates it — so any number of concurrent solves may share
+/// one entry.
 struct GraphEntry {
   std::string id;
   /// Process-unique registration identity, assigned by Register and carried
@@ -143,11 +133,10 @@ struct GraphEntry {
 
   /// Built after `views` is in place (it keeps a pointer into the entry);
   /// entries are therefore handed out only behind shared_ptr and never moved.
-  /// Aggregates serving_views() — the compacted subset when masked.
+  /// Aggregates serving_views() — the compacted subset when masked — over
+  /// the row partition RegisterOptions::shards asked for (one shard unless
+  /// the graph was registered with shards > 1 and is large enough to split).
   std::unique_ptr<core::LaplacianAggregator> aggregator;
-  /// Present iff the graph was registered with shards > 1 (and is large
-  /// enough to split); solves then run shard-by-shard.
-  std::unique_ptr<const ShardedGraphEntry> sharded;
   /// The ratio the entry was registered with, carried across epochs so
   /// UpdateGraph can rebuild the companion consistently. 0 when disabled.
   double coarsen_ratio = 0.0;
@@ -220,14 +209,13 @@ class GraphRegistry {
   /// Laplacians are recomputed (attribute rows re-run that view's KNN), and
   /// when no view changes sparsity the new epoch's aggregators donor-copy
   /// the previous pattern/scatter state — same pattern_id, so bound solve
-  /// workspaces skip rebinding entirely. Pattern-changing deltas re-merge
-  /// only the shards whose slices changed (the unsharded union pattern, used
-  /// by unsharded solves, is rebuilt whole). An empty delta returns the
-  /// current entry without bumping the epoch.
+  /// workspaces skip rebinding entirely. Pattern-changing deltas rebuild the
+  /// union pattern whole, on the same row partition. An empty delta returns
+  /// the current entry without bumping the epoch.
   ///
   /// Lifecycle deltas (AddView/RemoveView/MaskView/UnmaskView), and any
   /// delta applied while some view is masked, rebuild the serving state
-  /// (aggregators, shard slices, coarse companion) from scratch over the
+  /// (aggregator, coarse companion) from scratch over the
   /// active view subset — exactly what registering that subset fresh would
   /// build, so masked/removed-view solves are bit-identical to a fresh
   /// registration of the subset. AddView precomputes the Laplacian (and,
@@ -239,7 +227,7 @@ class GraphRegistry {
   /// Register() with the checkpointed mutable state installed instead of the
   /// registration defaults: the entry comes back at `state.epoch` with the
   /// checkpointed view uids, activity mask and uid allocator, and the serving
-  /// state (aggregators, shard slices, coarse companion) is rebuilt from
+  /// state (aggregator, coarse companion) is rebuilt from
   /// scratch over the active subset — exactly what the lifecycle-update path
   /// builds, so recovered solves are bit-identical to the pre-crash process.
   /// Fails on duplicate id or on state that contradicts the graph (uid count
@@ -288,10 +276,13 @@ class GraphRegistry {
       std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
       const RestoreState* restore = nullptr);
 
-  /// The queue shard jobs run on, created lazily at the first sharded
-  /// registration and shared by every sharded entry (entries hold the
-  /// shared_ptr, so snapshots outliving the registry keep a live queue).
-  std::shared_ptr<util::TaskQueue> ShardQueue();
+  /// The serving aggregator over `views`, partitioned at `boundaries`.
+  /// Multi-shard partitions run their jobs on the registry's shard queue,
+  /// created lazily at the first sharded registration and shared by every
+  /// sharded entry (aggregators hold the shared_ptr, so snapshots outliving
+  /// the registry keep a live queue).
+  std::unique_ptr<core::LaplacianAggregator> MakeAggregator(
+      const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries);
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const GraphEntry>> graphs_;

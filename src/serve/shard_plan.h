@@ -48,7 +48,8 @@ struct ShardPlan {
 /// Builds the plan for `rows` rows into (at most) `num_shards` shards at the
 /// given grain. The shard count is clamped to [1, number of chunks], so
 /// small graphs quietly collapse to fewer (possibly one) shards instead of
-/// producing empty ones; callers treat a 1-shard plan as "serve unsharded".
+/// producing empty ones; a 1-shard plan runs every kernel pool-parallel on
+/// the caller.
 ShardPlan MakeShardPlan(int64_t rows, int num_shards,
                         int64_t grain = util::kShardAlign);
 

@@ -22,10 +22,10 @@ constexpr int64_t kShardAlign = 512;
 /// A contiguous row partition plus the queue its shard jobs run on. This is
 /// a non-owning view: `boundaries` (num_shards + 1 ascending offsets,
 /// boundaries[0] == 0) and `queue` must outlive any Run() call. Shard-aware
-/// kernels (sharded SpMV, aggregation, k-means assignment) take one of these
-/// and dispatch one job per shard instead of chunking through the global
-/// ThreadPool, so concurrent solves on different graphs interleave fairly on
-/// the shared queue workers.
+/// kernels (core::LaplacianAggregator's aggregation and SpMV, k-means
+/// assignment) take one of these and dispatch one job per shard instead of
+/// chunking through the global ThreadPool, so concurrent solves on different
+/// graphs interleave fairly on the shared queue workers.
 struct ShardContext {
   const int64_t* boundaries = nullptr;
   int num_shards = 0;
@@ -38,12 +38,19 @@ struct ShardContext {
   int64_t rows() const { return boundaries[num_shards]; }
 
   /// Runs fn(shard, row_begin, row_end) once per shard and returns when all
-  /// shards finished. Each job runs under ThreadPool::InlineScope, so every
-  /// kernel the body invokes executes inline on that thread (the shard is
-  /// the unit of parallelism). Safe for concurrent Run() calls on one queue.
+  /// shards finished. With one shard the body runs on the caller as is, so
+  /// the kernels it invokes chunk through the global ThreadPool exactly like
+  /// an unsharded call. With several, each job runs under
+  /// ThreadPool::InlineScope, so every kernel the body invokes executes
+  /// inline on that thread (the shard is the unit of parallelism). Safe for
+  /// concurrent Run() calls on one queue.
   template <typename Fn>
   void Run(Fn&& fn) const {
-    if (num_shards <= 1 || queue == nullptr) {
+    if (num_shards == 1) {
+      fn(0, begin(0), end(0));
+      return;
+    }
+    if (queue == nullptr) {
       ThreadPool::InlineScope inline_scope;
       for (int s = 0; s < num_shards; ++s) fn(s, begin(s), end(s));
       return;

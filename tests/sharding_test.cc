@@ -1,11 +1,15 @@
 // Row-sharding tests: ShardPlan boundary rules (chunk alignment, coverage,
-// clamping, ragged tails), slice/SpmvRows identities, sharded-vs-plain
+// clamping, ragged tails), SpmvRows identities, K-shard vs one-shard
 // aggregator bit-identity, and end-to-end bit-identity of the sharded solve
 // path (Sgla, SglaPlus, spectral clustering, engine responses) against the
-// unsharded path at K = 1, 2, 5 shards and SGLA_THREADS = 1, 4 — including
-// an n not divisible by K (ragged final shard).
+// one-shard path at K = 1, 2, 5 shards and SGLA_THREADS = 1, 4 — including
+// an n not divisible by K (ragged final shard) — plus a seeded-random
+// sharded == unsharded oracle (replay one case with SGLA_SHARD_ORACLE_SEED).
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +21,7 @@
 #include "data/generator.h"
 #include "graph/laplacian.h"
 #include "la/lanczos.h"
+#include "la/simd.h"
 #include "la/sparse.h"
 #include "serve/engine.h"
 #include "serve/graph_registry.h"
@@ -81,7 +86,7 @@ TEST(ShardPlanTest, ClampsToChunkCount) {
   EXPECT_EQ(serve::MakeShardPlan(100, 1).num_shards(), 1);
 }
 
-TEST(ShardingTest, RowSliceAndSpmvRowsMatchFullSpmv) {
+TEST(ShardingTest, SpmvRowsMatchFullSpmv) {
   const auto views = MakeViews(1400, 4, 7);
   const la::CsrMatrix& m = views[0];
   la::Vector x(static_cast<size_t>(m.cols));
@@ -99,49 +104,53 @@ TEST(ShardingTest, RowSliceAndSpmvRowsMatchFullSpmv) {
                  plan.shard_end(s));
   }
   EXPECT_EQ(sharded, reference);
-
-  // Slices re-based to local rows reproduce the same entries.
-  la::Vector sliced(static_cast<size_t>(m.rows), 0.0);
-  for (int s = 0; s < plan.num_shards(); ++s) {
-    la::CsrMatrix slice = la::RowSlice(m, plan.shard_begin(s),
-                                       plan.shard_end(s));
-    EXPECT_EQ(slice.rows, plan.shard_end(s) - plan.shard_begin(s));
-    la::Spmv(slice, x.data(), sliced.data() + plan.shard_begin(s));
-  }
-  EXPECT_EQ(sliced, reference);
 }
 
-TEST(ShardingTest, ShardedAggregatorBitIdenticalToPlain) {
+TEST(ShardingTest, MultiShardAggregatorBitIdenticalToOneShard) {
   const auto views = MakeViews(2570, 4, 21);  // ragged at K = 5
   core::LaplacianAggregator plain(&views);
   const std::vector<double> weights = {0.35, 0.65};
   const la::CsrMatrix& reference = plain.Aggregate(weights);
+  la::SellMatrix reference_sell;
+  plain.BindSellPattern(&reference_sell);
+  la::FillSellValues(reference.values, &reference_sell);
+
+  la::Vector x(static_cast<size_t>(reference.cols));
+  Rng rng(5);
+  for (double& v : x) v = rng.Gaussian();
+  la::Vector expect(static_cast<size_t>(reference.rows));
+  la::Spmv(reference, x.data(), expect.data());
 
   auto queue = std::make_shared<util::TaskQueue>(4);
   for (int shards : {2, 5}) {
     serve::ShardPlan plan = serve::MakeShardPlan(2570, shards);
     ASSERT_EQ(plan.num_shards(), shards);
-    core::ShardedAggregator sharded(&views, plan.boundaries, queue);
+    core::LaplacianAggregator sharded(&views, plan.boundaries, queue);
+    EXPECT_EQ(sharded.num_shards(), shards);
+    EXPECT_EQ(sharded.pattern().col_idx, reference.col_idx);
 
-    std::vector<la::CsrMatrix> buffers;
-    sharded.BindPattern(&buffers);
-    sharded.AggregateValuesInto(weights, &buffers);
-    la::CsrMatrix full;
-    sharded.BindFullPattern(&full);
-    sharded.GatherValues(buffers, &full);
-    ExpectCsrEq(full, reference);
+    // One shard job per shard fills its rows of the one full pattern, and
+    // refreshes the SELL slots of those rows.
+    la::CsrMatrix csr;
+    la::SellMatrix sell;
+    sharded.BindPattern(&csr);
+    sharded.BindSellPattern(&sell);
+    sharded.AggregateValuesInto(weights, &csr, &sell);
+    ExpectCsrEq(csr, reference);
+    EXPECT_EQ(sell.values, reference_sell.values);
 
-    // The sharded operator reproduces the plain SpMV bit for bit.
-    la::Vector x(static_cast<size_t>(full.cols));
-    Rng rng(5);
-    for (double& v : x) v = rng.Gaussian();
-    la::Vector expect(static_cast<size_t>(full.rows));
-    la::Spmv(reference, x.data(), expect.data());
-    core::ShardedAggregator::SpmvContext ctx{&sharded, &buffers};
-    la::SpmvOperator op = core::ShardedAggregator::OperatorOver(&ctx);
-    la::Vector got(static_cast<size_t>(full.rows), 0.0);
-    op.apply(op.ctx, x.data(), got.data());
-    EXPECT_EQ(got, expect);
+    // Per-shard SELL SpMV over row ranges reproduces the CSR SpMV bit for
+    // bit under scalar, and the whole-matrix SELL SpMV under every ISA.
+    la::Vector whole(static_cast<size_t>(csr.rows), 0.0);
+    la::SellSpmv(reference_sell, x.data(), whole.data());
+    la::Vector got(static_cast<size_t>(csr.rows), 0.0);
+    sharded.context().Run([&sell, &x, &got](int, int64_t lo, int64_t hi) {
+      la::SellSpmvRows(sell, x.data(), got.data(), lo, hi);
+    });
+    EXPECT_EQ(got, whole);
+    if (la::simd::ActiveIsa() == la::simd::Isa::kScalar) {
+      EXPECT_EQ(got, expect);
+    }
   }
 }
 
@@ -154,8 +163,8 @@ TEST(ShardingTest, ObjectiveEvaluationBitIdentical) {
 
   auto queue = std::make_shared<util::TaskQueue>(4);
   serve::ShardPlan plan = serve::MakeShardPlan(1400, 2);
-  core::ShardedAggregator aggregator(&views, plan.boundaries, queue);
-  core::ShardedEvalWorkspace ws;
+  core::LaplacianAggregator aggregator(&views, plan.boundaries, queue);
+  core::EvalWorkspace ws;
   core::SpectralObjective sharded(&aggregator, 4, core::ObjectiveOptions(),
                                   &ws);
 
@@ -214,11 +223,11 @@ TEST(ShardingTest, SglaSolveBitIdenticalAcrossShardAndThreadCounts) {
   for (int shards : {2, 3}) {
     serve::ShardPlan plan = serve::MakeShardPlan(1100, shards);
     ASSERT_EQ(plan.num_shards(), shards);
-    core::ShardedAggregator aggregator(&views, plan.boundaries, queue);
+    core::LaplacianAggregator aggregator(&views, plan.boundaries, queue);
     for (int threads : {1, 4}) {
       util::ThreadPool::SetGlobalThreads(threads);
-      core::ShardedEvalWorkspace workspace;
-      auto result = core::SglaOnShards(aggregator, 3, options, &workspace);
+      core::EvalWorkspace workspace;
+      auto result = core::SglaOnAggregator(aggregator, 3, options, &workspace);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(result->weights, reference->weights);
       EXPECT_EQ(result->objective_history, reference->objective_history);
@@ -229,7 +238,7 @@ TEST(ShardingTest, SglaSolveBitIdenticalAcrossShardAndThreadCounts) {
       ASSERT_TRUE(expect_labels.ok());
       cluster::SpectralWorkspace cluster_ws;
       std::vector<int32_t> labels;
-      util::ShardContext ctx = plan.Context(queue.get());
+      util::ShardContext ctx = aggregator.context();
       ASSERT_TRUE(cluster::SpectralClusteringInto(result->laplacian, 3,
                                                   cluster::KMeansOptions(),
                                                   &cluster_ws, &labels, &ctx)
@@ -255,19 +264,20 @@ TEST(ShardingTest, SglaPlusBitIdenticalRaggedAndSampled) {
   ASSERT_TRUE(sampled_reference.ok());
 
   serve::ShardPlan plan = serve::MakeShardPlan(2570, 5);
-  core::ShardedAggregator aggregator(&views, plan.boundaries, queue);
+  core::LaplacianAggregator aggregator(&views, plan.boundaries, queue);
   ThreadCountGuard guard;
   for (int threads : {1, 4}) {
     util::ThreadPool::SetGlobalThreads(threads);
-    core::ShardedEvalWorkspace workspace;
-    auto result = core::SglaPlusOnShards(aggregator, 4, options, &workspace);
+    core::EvalWorkspace workspace;
+    auto result =
+        core::SglaPlusOnAggregator(aggregator, 4, options, &workspace);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->weights, reference->weights);
     EXPECT_EQ(result->objective_history, reference->objective_history);
     ExpectCsrEq(result->laplacian, reference->laplacian);
 
-    auto sampled = core::SglaPlusOnShards(aggregator, 4, sampled_options,
-                                          &workspace);
+    auto sampled = core::SglaPlusOnAggregator(aggregator, 4,
+                                              sampled_options, &workspace);
     ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
     EXPECT_EQ(sampled->weights, sampled_reference->weights);
     ExpectCsrEq(sampled->laplacian, sampled_reference->laplacian);
@@ -293,8 +303,7 @@ TEST(ShardingTest, EngineShardedGraphBitIdenticalToUnsharded) {
   many.shards = 5;  // 1100 rows -> 3 chunks: clamps to 3 shards
   auto many_entry = engine.RegisterGraph("k5", mvag, many);
   ASSERT_TRUE(many_entry.ok());
-  ASSERT_NE((*many_entry)->sharded, nullptr);
-  EXPECT_EQ((*many_entry)->sharded->plan.num_shards(), 3);
+  EXPECT_EQ((*many_entry)->aggregator->num_shards(), 3);
 
   serve::SolveRequest request;
   request.options.base.max_evaluations = 12;
@@ -317,10 +326,10 @@ TEST(ShardingTest, EngineShardedGraphBitIdenticalToUnsharded) {
     }
   }
 
-  // shards = 1 through the knob is exactly today's path: no sharded state.
+  // shards = 1 through the knob is the one-shard case of the same path.
   auto k1 = registry.Find("k1");
   ASSERT_NE(k1, nullptr);
-  EXPECT_EQ(k1->sharded, nullptr);
+  EXPECT_EQ(k1->aggregator->num_shards(), 1);
 }
 
 TEST(ShardingTest, EngineShardedAcrossThreadCounts) {
@@ -359,6 +368,156 @@ TEST(ShardingTest, EngineShardedAcrossThreadCounts) {
                 reference->integration.laplacian);
     EXPECT_EQ(response->labels, reference->labels);
   }
+}
+
+TEST(ShardingTest, SampledSglaPlusThenExactSglaShareOneSession) {
+  // One session workspace serves both solves: a node-sampled SGLA+ solve
+  // binds it to the sampled pattern first, then an exact SGLA solve on the
+  // same sharded graph must rebind it to the full pattern.
+  const auto views = MakeViews(2570, 4, 61);
+  serve::GraphRegistry registry;
+  ASSERT_TRUE(registry.RegisterViews("plain", views, 4).ok());
+  serve::RegisterOptions sharded;
+  sharded.shards = 5;
+  auto entry = registry.RegisterViews("sharded", views, 4, sharded);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  serve::EngineOptions engine_options;
+  engine_options.num_sessions = 1;
+  serve::Engine engine(&registry, engine_options);
+
+  serve::SolveRequest request;
+  request.graph_id = "sharded";
+  request.algorithm = serve::Algorithm::kSglaPlus;
+  request.options.max_objective_nodes = 700;
+  auto sampled = engine.Solve(request);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+
+  serve::SolveRequest exact;
+  exact.graph_id = "sharded";
+  exact.algorithm = serve::Algorithm::kSgla;
+  exact.options.base.max_evaluations = 12;
+  auto response = engine.Solve(exact);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+
+  exact.graph_id = "plain";
+  auto reference = engine.Solve(exact);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(response->integration.weights, reference->integration.weights);
+  EXPECT_EQ(response->integration.objective_history,
+            reference->integration.objective_history);
+  ExpectCsrEq(response->integration.laplacian,
+              reference->integration.laplacian);
+  EXPECT_EQ(response->labels, reference->labels);
+}
+
+// One case of the sharded == unsharded oracle, a pure function of `seed`:
+// the row count sits just below, at or above a multiple of kShardAlign, with
+// 1-4 SBM views, K in 1..5 shards, k in 2..5 clusters, a thread count, and
+// SGLA+ node sampling on or off. Every stage of the solve is compared bit
+// for bit against a one-shard aggregator on the same views.
+void RunShardOracleCase(uint64_t seed,
+                        const std::shared_ptr<util::TaskQueue>& queue) {
+  // Size and sampling cycle with the seed, so ten consecutive seeds cover
+  // every (size, sampling) pair; the rest is drawn.
+  const int64_t sizes[] = {511, 512, 513, 1025, 2570};
+  const int64_t n = sizes[seed % 5];
+  const bool sample = (seed / 5) % 2 == 1;
+  Rng rng(seed);
+  const int num_views = static_cast<int>(rng.UniformInt(1, 4));
+  const int shards = static_cast<int>(rng.UniformInt(1, 5));
+  const int k = static_cast<int>(rng.UniformInt(2, 5));
+  const int threads = rng.UniformInt(0, 1) == 0 ? 1 : 4;
+  const std::string fixture =
+      "SGLA_SHARD_ORACLE_SEED=" + std::to_string(seed) +
+      " n=" + std::to_string(n) + " views=" + std::to_string(num_views) +
+      " shards=" + std::to_string(shards) + " k=" + std::to_string(k) +
+      " threads=" + std::to_string(threads) +
+      " sample=" + std::to_string(sample);
+  std::printf("shard oracle %s\n", fixture.c_str());
+  SCOPED_TRACE(fixture);
+
+  std::vector<int32_t> labels = data::BalancedLabels(n, k, &rng);
+  std::vector<la::CsrMatrix> views;
+  for (int v = 0; v < num_views; ++v) {
+    const double p_in = 0.01 + 0.04 * rng.Uniform();
+    const double p_out = p_in * (0.05 + 0.3 * rng.Uniform());
+    views.push_back(graph::NormalizedLaplacian(
+        data::SbmGraph(labels, k, p_in, p_out, &rng)));
+  }
+  std::vector<double> weights(static_cast<size_t>(num_views));
+  double sum = 0.0;
+  for (double& w : weights) sum += (w = 0.05 + rng.Uniform());
+  for (double& w : weights) w /= sum;
+
+  // The reference runs at the default pool width on one shard.
+  core::LaplacianAggregator plain(&views);
+  core::EvalWorkspace plain_ws;
+  core::SpectralObjective plain_objective(&plain, k, core::ObjectiveOptions(),
+                                          &plain_ws);
+  auto plain_value = plain_objective.Evaluate(weights);
+  ASSERT_TRUE(plain_value.ok()) << plain_value.status().ToString();
+  const la::CsrMatrix plain_aggregate = plain_objective.AggregateAt(weights);
+  core::SglaOptions sgla_options;
+  sgla_options.max_evaluations = 8;
+  auto plain_sgla = core::SglaOnAggregator(plain, k, sgla_options, &plain_ws);
+  ASSERT_TRUE(plain_sgla.ok()) << plain_sgla.status().ToString();
+  core::SglaPlusOptions plus_options;
+  plus_options.max_objective_nodes = sample ? n / 2 : 0;
+  auto plain_plus =
+      core::SglaPlusOnAggregator(plain, k, plus_options, &plain_ws);
+  ASSERT_TRUE(plain_plus.ok()) << plain_plus.status().ToString();
+  cluster::SpectralWorkspace cluster_ws;
+  std::vector<int32_t> plain_labels;
+  ASSERT_TRUE(cluster::SpectralClusteringInto(plain_plus->laplacian, k,
+                                              cluster::KMeansOptions(),
+                                              &cluster_ws, &plain_labels)
+                  .ok());
+
+  ThreadCountGuard guard;
+  util::ThreadPool::SetGlobalThreads(threads);
+  serve::ShardPlan plan = serve::MakeShardPlan(n, shards);
+  core::LaplacianAggregator aggregator(&views, plan.boundaries, queue);
+  core::EvalWorkspace ws;
+  core::SpectralObjective objective(&aggregator, k, core::ObjectiveOptions(),
+                                    &ws);
+  auto value = objective.Evaluate(weights);
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(value->h, plain_value->h);
+  EXPECT_EQ(value->eigengap, plain_value->eigengap);
+  EXPECT_EQ(value->lambda2, plain_value->lambda2);
+  ExpectCsrEq(objective.AggregateAt(weights), plain_aggregate);
+
+  auto sgla = core::SglaOnAggregator(aggregator, k, sgla_options, &ws);
+  ASSERT_TRUE(sgla.ok()) << sgla.status().ToString();
+  EXPECT_EQ(sgla->weights, plain_sgla->weights);
+  EXPECT_EQ(sgla->objective_history, plain_sgla->objective_history);
+  ExpectCsrEq(sgla->laplacian, plain_sgla->laplacian);
+
+  auto plus = core::SglaPlusOnAggregator(aggregator, k, plus_options, &ws);
+  ASSERT_TRUE(plus.ok()) << plus.status().ToString();
+  EXPECT_EQ(plus->weights, plain_plus->weights);
+  EXPECT_EQ(plus->objective_history, plain_plus->objective_history);
+  ExpectCsrEq(plus->laplacian, plain_plus->laplacian);
+  const util::ShardContext ctx = aggregator.context();
+  std::vector<int32_t> sharded_labels;
+  ASSERT_TRUE(cluster::SpectralClusteringInto(plus->laplacian, k,
+                                              cluster::KMeansOptions(),
+                                              &cluster_ws, &sharded_labels,
+                                              &ctx)
+                  .ok());
+  EXPECT_EQ(sharded_labels, plain_labels);
+}
+
+TEST(ShardingTest, SeededRandomShardedEqualsUnsharded) {
+  // SGLA_SHARD_ORACLE_SEED replays the one case a red run printed.
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("SGLA_SHARD_ORACLE_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t i = 0; i < 10; ++i) seeds.push_back(20261010 + i);
+  }
+  auto queue = std::make_shared<util::TaskQueue>(4);
+  for (uint64_t seed : seeds) RunShardOracleCase(seed, queue);
 }
 
 }  // namespace

@@ -260,12 +260,9 @@ TEST_P(UpdateSolveTest, ValueOnlyDeltaReusesPatternAndMatchesScratch) {
   // The pattern_id stamp is the value-only contract: bound workspaces must
   // not rebind, so the donor aggregators keep the previous epoch's id.
   EXPECT_EQ((*after)->aggregator->pattern_id(), pattern_before);
-  if (shards > 1) {
-    ASSERT_NE((*before)->sharded, nullptr);
-    ASSERT_NE((*after)->sharded, nullptr);
-    EXPECT_EQ((*after)->sharded->aggregator.pattern_id(),
-              (*before)->sharded->aggregator.pattern_id());
-  }
+  EXPECT_EQ((*after)->aggregator->boundaries(),
+            (*before)->aggregator->boundaries());
+  EXPECT_EQ((*after)->aggregator->num_shards(), shards);
   // Views: affected view re-valued on the same pattern, the other carried.
   EXPECT_EQ((*after)->views[0].col_idx, (*before)->views[0].col_idx);
   EXPECT_NE((*after)->views[0].values, (*before)->views[0].values);
@@ -328,10 +325,10 @@ INSTANTIATE_TEST_SUITE_P(ThreadsByShards, UpdateSolveTest,
                          ::testing::Combine(::testing::Values(1, 4),
                                             ::testing::Values(1, 4)));
 
-TEST(UpdateGraphTest, DeletingAViewsLastEdgeInAShardRebuildsOnlyThatShard) {
+TEST(UpdateGraphTest, DeletingAViewsLastEdgeInAShardMatchesScratch) {
   // A third view whose few edges all live in shard 0 of a 4-shard plan
-  // (rows < 512): deleting them empties that view's slice in shard 0 while
-  // shards 1..3 (already empty for this view) keep their patterns.
+  // (rows < 512): deleting them empties that view, a pattern change
+  // confined to shard 0's rows.
   UpdateFixture f = UpdateFixture::Make(1800, 3, 23);
   graph::Graph sparse_view(1800);
   for (int64_t i = 0; i < 6; ++i) sparse_view.AddEdge(i, i + 1, 1.0);
@@ -342,7 +339,7 @@ TEST(UpdateGraphTest, DeletingAViewsLastEdgeInAShardRebuildsOnlyThatShard) {
   serve::GraphRegistry registry;
   auto before = registry.Register("g", f.mvag, options);
   ASSERT_TRUE(before.ok());
-  ASSERT_NE((*before)->sharded, nullptr);
+  ASSERT_EQ((*before)->aggregator->num_shards(), 4);
 
   serve::GraphDelta delta;
   serve::GraphViewDelta view_delta;
@@ -353,15 +350,12 @@ TEST(UpdateGraphTest, DeletingAViewsLastEdgeInAShardRebuildsOnlyThatShard) {
   auto after = registry.UpdateGraph("g", delta);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ((*after)->views[2].nnz(), 0);  // the view is now empty
-  // Shard 0's pattern changed, so the sharded aggregator takes a fresh id…
-  EXPECT_NE((*after)->sharded->aggregator.pattern_id(),
-            (*before)->sharded->aggregator.pattern_id());
-  // …but shards 1..3 donor-copied: their slice patterns are unchanged.
-  for (int s = 1; s < 4; ++s) {
-    EXPECT_EQ(
-        (*after)->sharded->aggregator.shard_aggregator(s).pattern().col_idx,
-        (*before)->sharded->aggregator.shard_aggregator(s).pattern().col_idx);
-  }
+  // Shard 0's pattern changed, so the aggregator takes a fresh id on the
+  // same row partition.
+  EXPECT_NE((*after)->aggregator->pattern_id(),
+            (*before)->aggregator->pattern_id());
+  EXPECT_EQ((*after)->aggregator->boundaries(),
+            (*before)->aggregator->boundaries());
 
   core::MultiViewGraph scratch_mvag = f.mvag;
   std::vector<bool> affected;
@@ -446,7 +440,6 @@ TEST(WarmStartTest, FewerIterationsSameEigenpairsAcrossThreadsAndShards) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
       serve::ShardPlan plan = serve::MakeShardPlan(n, shards);
-      const bool sharded = plan.num_shards() > 1;
 
       // Pre-update solve supplies the warm seed.
       core::EvalWorkspace seed_ws;
@@ -458,38 +451,25 @@ TEST(WarmStartTest, FewerIterationsSameEigenpairsAcrossThreadsAndShards) {
       const la::DenseMatrix seed_vectors = seed_ws.eigen.vectors;
 
       // Post-update cold evaluation (the baseline the warm one must beat).
-      core::LaplacianAggregator aggregator(&*views_after);
-      core::ShardedAggregator sharded_aggregator(
-          &*views_after,
-          sharded ? plan.boundaries : std::vector<int64_t>{0, n}, nullptr);
+      core::LaplacianAggregator aggregator(&*views_after, plan.boundaries);
       core::EvalWorkspace cold_ws;
-      core::ShardedEvalWorkspace cold_shard_ws;
-      core::ObjectiveOptions cold_options;
-      core::SpectralObjective cold_objective =
-          sharded ? core::SpectralObjective(&sharded_aggregator, k,
-                                            cold_options, &cold_shard_ws)
-                  : core::SpectralObjective(&aggregator, k, cold_options,
-                                            &cold_ws);
+      core::SpectralObjective cold_objective(&aggregator, k,
+                                             core::ObjectiveOptions(),
+                                             &cold_ws);
       auto cold = cold_objective.Evaluate(weights);
       ASSERT_TRUE(cold.ok());
       ASSERT_GT(cold->lanczos_iterations, 0);
-      const la::Eigenpairs cold_eigen =
-          sharded ? cold_shard_ws.base.eigen : cold_ws.eigen;
+      const la::Eigenpairs& cold_eigen = cold_ws.eigen;
 
       // Post-update warm evaluation.
       core::EvalWorkspace warm_ws;
-      core::ShardedEvalWorkspace warm_shard_ws;
       core::ObjectiveOptions warm_options;
       warm_options.warm_start = &seed_vectors;
-      core::SpectralObjective warm_objective =
-          sharded ? core::SpectralObjective(&sharded_aggregator, k,
-                                            warm_options, &warm_shard_ws)
-                  : core::SpectralObjective(&aggregator, k, warm_options,
-                                            &warm_ws);
+      core::SpectralObjective warm_objective(&aggregator, k, warm_options,
+                                             &warm_ws);
       auto warm = warm_objective.Evaluate(weights);
       ASSERT_TRUE(warm.ok());
-      const la::Eigenpairs& warm_eigen =
-          sharded ? warm_shard_ws.base.eigen : warm_ws.eigen;
+      const la::Eigenpairs& warm_eigen = warm_ws.eigen;
 
       // Strictly fewer basis vectors, same spectrum within tolerance. The
       // first k pairs (what the pipeline consumes as vectors) must agree

@@ -117,17 +117,11 @@ int Run(int shards, serve::Quality quality) {
   }
 
   // Objective evaluations at fixed weights, through the registered entry's
-  // (possibly sharded) serving path.
+  // aggregator (sharded when shards > 1).
   {
     core::EvalWorkspace eval_ws;
-    core::ShardedEvalWorkspace sharded_ws;
-    const bool sharded = (*entry)->sharded != nullptr;
-    core::SpectralObjective objective =
-        sharded ? core::SpectralObjective(&(*entry)->sharded->aggregator, k,
-                                          core::ObjectiveOptions(),
-                                          &sharded_ws)
-                : core::SpectralObjective((*entry)->aggregator.get(), k,
-                                          core::ObjectiveOptions(), &eval_ws);
+    core::SpectralObjective objective((*entry)->aggregator.get(), k,
+                                      core::ObjectiveOptions(), &eval_ws);
     const std::vector<std::vector<double>> probes = {
         {0.5, 0.5}, {0.8, 0.2}, {0.35, 0.65}};
     for (const std::vector<double>& w : probes) {
@@ -206,6 +200,38 @@ int Run(int shards, serve::Quality quality) {
       return 1;
     }
     std::printf("masked weights=%016" PRIx64 " history=%016" PRIx64
+                " laplacian=%016" PRIx64 " labels=%016" PRIx64 "\n",
+                HashVector(response->integration.weights),
+                HashVector(response->integration.objective_history),
+                HashCsr(response->integration.laplacian),
+                HashVector(response->labels));
+  }
+
+  // Node-sampled SGLA+ on the unmasked graph: objective evaluations on a
+  // sampled subgraph, then the final aggregation over the full (sharded)
+  // pattern — in one session, so the sampled and full patterns share one
+  // workspace. Always the exact tier: the coarse companion is smaller than
+  // the sample.
+  {
+    serve::GraphDelta unmask;
+    unmask.unmask_views = {1};
+    auto unmasked = registry.UpdateGraph("bitdump", unmask);
+    if (!unmasked.ok()) {
+      std::fprintf(stderr, "unmask delta failed: %s\n",
+                   unmasked.status().ToString().c_str());
+      return 1;
+    }
+    serve::SolveRequest request;
+    request.graph_id = "bitdump";
+    request.algorithm = serve::Algorithm::kSglaPlus;
+    request.options.max_objective_nodes = 1024;
+    auto response = engine.Solve(request);
+    if (!response.ok()) {
+      std::fprintf(stderr, "sampled solve failed: %s\n",
+                   response.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("sampled weights=%016" PRIx64 " history=%016" PRIx64
                 " laplacian=%016" PRIx64 " labels=%016" PRIx64 "\n",
                 HashVector(response->integration.weights),
                 HashVector(response->integration.objective_history),
