@@ -132,7 +132,7 @@ void BM_LanczosSmallestEigenvalues(benchmark::State& state) {
     benchmark::DoNotOptimize(eig.ok());
   }
 }
-BENCHMARK(BM_LanczosSmallestEigenvalues)->Arg(2000)->Arg(8000);
+BENCHMARK(BM_LanczosSmallestEigenvalues)->Arg(2000)->Arg(8000)->Arg(16000);
 
 void BM_ObjectiveEvaluation(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));

@@ -13,25 +13,57 @@ namespace {
 
 constexpr int64_t kDenseFallbackThreshold = 96;
 
-/// Elements per chunk for the length-n panel updates below. Every element is
-/// written by exactly one chunk with the same arithmetic as the serial loop,
-/// so these stay bit-identical to a serial run at any thread count. Dot
-/// products are deliberately left serial: chunked reductions would reorder
-/// the summation and change the modified-Gram-Schmidt trajectory.
+/// Elements per chunk of the sigma v - M v combine. The combine is
+/// element-wise, so any chunking gives the serial bits; the reductions of
+/// the solve (reorthogonalization dots) are chunked at kOrthoGrain instead
+/// and merged in chunk-index order (see Reorthogonalize).
 constexpr int64_t kElementGrain = 8192;
 
-/// y += alpha * x, element-parallel. Single-chunk sizes skip the pool
-/// entirely — this runs O(m^2) times inside the deflate loop, where the
-/// dispatch cost would rival the arithmetic on small graphs.
-void ParallelAxpy(double alpha, const double* x, double* y, int64_t n) {
-  if (n <= kElementGrain) {
-    Axpy(alpha, x, y, n);
-    return;
+/// Projects x (length n) onto the orthogonal complement of Q = the locked
+/// bank rows [0, num_locked) followed by the basis rows [0, upto): block
+/// classical Gram-Schmidt, done twice (CGS2). Each pass makes two sweeps
+/// over fixed kOrthoGrain chunks — per-chunk partial dots for every row of
+/// Q, merged in chunk-index order into h = Q^T x, then x -= Q h with rows
+/// applied in ascending order per element — so a pass costs two pool
+/// dispatches instead of one per row, and the bits depend only on n.
+void Reorthogonalize(int num_locked, int upto, double* x, int64_t n,
+                     LanczosWorkspace* ws) {
+  const int rows = num_locked + upto;
+  if (rows == 0) return;
+  const DenseMatrix& bank = ws->bank;
+  const DenseMatrix& basis = ws->basis;
+  double* partials = ws->ortho_partials.data();  // chunk-major, `rows` each
+  double* coef = ws->ortho_coef.data();
+  const int64_t chunks = util::ThreadPool::NumChunks(0, n, kOrthoGrain);
+  const simd::KernelTable* table = simd::ActiveTable();
+  util::ThreadPool& pool = util::ThreadPool::Global();
+  for (int pass = 0; pass < 2; ++pass) {
+    pool.ParallelForChunks(
+        0, n, kOrthoGrain, [&](int64_t chunk, int64_t lo, int64_t hi) {
+          double* out = partials + chunk * rows;
+          for (int l = 0; l < num_locked; ++l) {
+            out[l] = table->dot(x + lo, bank.Row(l) + lo, hi - lo);
+          }
+          for (int i = 0; i < upto; ++i) {
+            out[num_locked + i] =
+                table->dot(x + lo, basis.Row(i) + lo, hi - lo);
+          }
+        });
+    std::fill(coef, coef + rows, 0.0);
+    for (int64_t chunk = 0; chunk < chunks; ++chunk) {
+      const double* part = partials + chunk * rows;
+      for (int r = 0; r < rows; ++r) coef[r] += part[r];
+    }
+    pool.ParallelFor(0, n, kOrthoGrain, [&](int64_t lo, int64_t hi) {
+      for (int l = 0; l < num_locked; ++l) {
+        table->axpy(-coef[l], bank.Row(l) + lo, x + lo, hi - lo);
+      }
+      for (int i = 0; i < upto; ++i) {
+        table->axpy(-coef[num_locked + i], basis.Row(i) + lo, x + lo,
+                    hi - lo);
+      }
+    });
   }
-  util::ThreadPool::Global().ParallelFor(
-      0, n, kElementGrain, [alpha, x, y](int64_t lo, int64_t hi) {
-        Axpy(alpha, x + lo, y + lo, hi - lo);
-      });
 }
 
 Status DenseSmallestInto(const CsrMatrix& matrix, int k,
@@ -97,20 +129,6 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
   alpha.assign(static_cast<size_t>(m), 0.0);
   beta.assign(static_cast<size_t>(m), 0.0);
 
-  auto deflate = [&](double* x, int upto) {
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int l = 0; l < num_locked; ++l) {
-        const double* locked = ws->bank.Row(l);
-        const double proj = Dot(x, locked, n);
-        ParallelAxpy(-proj, locked, x, n);
-      }
-      for (int i = 0; i < upto; ++i) {
-        const double proj = Dot(x, basis.Row(i), n);
-        ParallelAxpy(-proj, basis.Row(i), x, n);
-      }
-    }
-  };
-
   Vector& v = ws->v;
   v.assign(static_cast<size_t>(n), 0.0);
   if (seed != nullptr) {
@@ -118,7 +136,7 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
   } else {
     for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = rng->Gaussian();
   }
-  deflate(v.data(), 0);
+  Reorthogonalize(num_locked, 0, v.data(), n, ws);
   {
     const double norm = Norm2(v.data(), n);
     if (norm < 1e-12) return 0;  // locked set spans everything reachable
@@ -179,7 +197,7 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
       util::ThreadPool::Global().ParallelFor(0, n, kElementGrain, combine);
     }
     alpha[static_cast<size_t>(j)] = Dot(w.data(), basis.Row(j), n);
-    deflate(w.data(), j + 1);
+    Reorthogonalize(num_locked, j + 1, w.data(), n, ws);
     const double norm = Norm2(w.data(), n);
     if (j + 1 < m) {
       if (norm < 1e-12) {
@@ -187,7 +205,7 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
         for (int64_t i = 0; i < n; ++i) {
           w[static_cast<size_t>(i)] = rng->Gaussian();
         }
-        deflate(w.data(), j + 1);
+        Reorthogonalize(num_locked, j + 1, w.data(), n, ws);
         const double rnorm = Norm2(w.data(), n);
         if (rnorm < 1e-12) break;  // reachable space exhausted
         Scale(1.0 / rnorm, w.data(), n);
@@ -228,35 +246,45 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
   }
 
   // Largest of B == smallest of M; they sit at the end of the ascending list.
-  int produced = 0;
+  // Ritz assembly is a dense panel basis^T * Y for all `count` wanted pairs
+  // at once, into bank rows [pass_base, pass_base + count): one chunked
+  // sweep reads each basis row once per chunk and feeds every candidate.
+  // Per element each candidate accumulates the basis rows in ascending t
+  // order with element-wise axpys, so its bits match a per-pair serial loop
+  // on every ISA path.
   const int count = std::min(want, built);
+  {
+    const DenseMatrix& ritz_vectors = ws->ritz_vectors;
+    DenseMatrix& bank = ws->bank;
+    const simd::KernelTable* table = simd::ActiveTable();
+    util::ThreadPool::Global().ParallelFor(
+        0, n, kOrthoGrain, [&](int64_t lo, int64_t hi) {
+          for (int j = 0; j < count; ++j) {
+            std::fill(bank.Row(pass_base + j) + lo,
+                      bank.Row(pass_base + j) + hi, 0.0);
+          }
+          for (int t = 0; t < built; ++t) {
+            const double* row = basis.Row(t) + lo;
+            for (int j = 0; j < count; ++j) {
+              table->axpy(ritz_vectors(t, built - 1 - j), row,
+                          bank.Row(pass_base + j) + lo, hi - lo);
+            }
+          }
+        });
+  }
+  // Normalize, score and compact: candidate j moves down to row
+  // pass_base + produced (only rows already consumed are overwritten).
+  int produced = 0;
   Vector& mv = ws->mv;
   mv.assign(static_cast<size_t>(n), 0.0);
   for (int j = 0; j < count; ++j) {
-    const int src = built - 1 - j;
     const double value =
-        sigma - ws->ritz_values[static_cast<size_t>(src)];
-    // Ritz assembly is a dense GEMV panel basis^T * y: per element the basis
-    // rows are accumulated in ascending t order, matching the serial axpys.
+        sigma - ws->ritz_values[static_cast<size_t>(built - 1 - j)];
+    const double* candidate = ws->bank.Row(pass_base + j);
+    const double vnorm = Norm2(candidate, n);
+    if (vnorm < 1e-12) continue;
     double* assembled = ws->bank.Row(pass_base + produced);
-    std::fill(assembled, assembled + n, 0.0);
-    const DenseMatrix& ritz_vectors = ws->ritz_vectors;
-    const auto assemble = [built, src, &ritz_vectors, &basis,
-                           assembled](int64_t lo, int64_t hi) {
-      for (int t = 0; t < built; ++t) {
-        const double coef = ritz_vectors(t, src);
-        const double* row = basis.Row(t);
-        // Element-wise axpy panel: same bits on every ISA path.
-        Axpy(coef, row + lo, assembled + lo, hi - lo);
-      }
-    };
-    if (n <= kElementGrain) {
-      assemble(0, n);
-    } else {
-      util::ThreadPool::Global().ParallelFor(0, n, kElementGrain, assemble);
-    }
-    const double vnorm = Norm2(assembled, n);
-    if (vnorm < 1e-12) continue;  // row is re-zeroed for the next candidate
+    if (assembled != candidate) std::copy(candidate, candidate + n, assembled);
     Scale(1.0 / vnorm, assembled, n);
     matrix.apply(matrix.ctx, assembled, mv.data());
     Axpy(-value, assembled, mv.data(), n);
@@ -362,6 +390,12 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
     ws->bank_value.assign(static_cast<size_t>(bank_rows), 0.0);
     ws->bank_residual.assign(static_cast<size_t>(bank_rows), 0.0);
   }
+  // Reorthogonalization runs against at most k - 1 locked rows plus m basis
+  // rows; sized once per (n, k, m) so steady-state solves never reallocate.
+  const int ortho_rows = k + m;
+  ws->ortho_partials.resize(static_cast<size_t>(
+      util::ThreadPool::NumChunks(0, n, kOrthoGrain) * ortho_rows));
+  ws->ortho_coef.resize(static_cast<size_t>(ortho_rows));
 
   // Single-vector Lanczos sees at most one direction per eigenvalue, so
   // repeated eigenvalues (disconnected Laplacians!) need deflated restarts:

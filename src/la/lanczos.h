@@ -1,6 +1,7 @@
 #ifndef SGLA_LA_LANCZOS_H_
 #define SGLA_LA_LANCZOS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "la/dense.h"
@@ -10,6 +11,14 @@
 
 namespace sgla {
 namespace la {
+
+/// Elements per chunk of the Lanczos reorthogonalization and Ritz assembly
+/// sweeps (2048 doubles = 16 KB, so a chunk of the vector being
+/// orthogonalized stays in L1 while the basis rows stream past it). The
+/// projection coefficients are summed from per-chunk partial dots in
+/// chunk-index order, and this partition depends only on n — so the solve's
+/// bits are the same at any thread count and shard count within one ISA.
+constexpr int64_t kOrthoGrain = 2048;
 
 struct Eigenpairs {
   Vector values;        ///< ascending, size k
@@ -68,6 +77,10 @@ struct LanczosWorkspace {
   DenseMatrix dense_scratch;   ///< dense fallback: densified matrix
   DenseMatrix dense_sym;       ///< dense fallback: symmetrized copy
   Vector warm_seed;            ///< warm start: blended seed direction
+  /// Reorthogonalization scratch: per-chunk partial dots (chunk-major, one
+  /// slot per locked + basis row) and the merged projection coefficients.
+  Vector ortho_partials;
+  Vector ortho_coef;
 };
 
 /// Matrix-free symmetric operator: apply(ctx, x, y) must overwrite all

@@ -73,12 +73,13 @@ struct GraphFixture {
   core::MultiViewGraph mvag;
   std::vector<la::CsrMatrix> views;  // reference ComputeViewLaplacians output
 
-  static GraphFixture Make(int64_t n, int k, uint64_t seed) {
+  static GraphFixture Make(int64_t n, int k, uint64_t seed,
+                           double p_in = 0.10, double p_out = 0.01) {
     GraphFixture f;
     Rng rng(seed);
     std::vector<int32_t> labels = data::BalancedLabels(n, k, &rng);
     f.mvag = core::MultiViewGraph(n, k);
-    f.mvag.AddGraphView(data::SbmGraph(labels, k, 0.10, 0.01, &rng));
+    f.mvag.AddGraphView(data::SbmGraph(labels, k, p_in, p_out, &rng));
     f.mvag.AddAttributeView(
         data::GaussianAttributes(labels, k, 8, 3.0, 0.9, &rng));
     f.mvag.set_labels(std::move(labels));
@@ -520,30 +521,36 @@ TEST(EngineCacheTest, CacheCapacityBoundsTheWarmStartBank) {
 
 TEST(EngineAllocationTest, SteadyStateObjectiveEvaluationsAllocateNothing) {
   // n > 512 so SpMV/aggregation actually dispatch multi-chunk jobs through
-  // the pool in the threaded sweep (the raw-pointer dispatch path).
-  const GraphFixture f = GraphFixture::Make(1200, 4, 91);
-  core::LaplacianAggregator aggregator(&f.views);
+  // the pool in the threaded sweep (the raw-pointer dispatch path). n = 1200
+  // fits one Lanczos orthogonalization chunk; n = 6500 spans four, so the
+  // per-chunk partial-dot buffers fall under the same contract (at the same
+  // ~39 expected SBM degree, which keeps the larger case quick).
+  for (int64_t n : {1200, 6500}) {
+    const double p_in = 0.10 * 1200.0 / static_cast<double>(n);
+    const GraphFixture f = GraphFixture::Make(n, 4, 91, p_in, p_in / 10.0);
+    core::LaplacianAggregator aggregator(&f.views);
 
-  ThreadCountGuard guard;
-  for (int threads : {1, 4}) {
-    util::ThreadPool::SetGlobalThreads(threads);
-    core::EvalWorkspace workspace;
-    core::SpectralObjective objective(&aggregator, 4, core::ObjectiveOptions(),
-                                      &workspace);
-    const std::vector<double> w1 = {0.55, 0.45};
-    const std::vector<double> w2 = {0.30, 0.70};
-    // Warm-up: the first evaluations size every workspace buffer.
-    ASSERT_TRUE(objective.Evaluate(w1).ok());
-    ASSERT_TRUE(objective.Evaluate(w2).ok());
+    ThreadCountGuard guard;
+    for (int threads : {1, 4}) {
+      util::ThreadPool::SetGlobalThreads(threads);
+      core::EvalWorkspace workspace;
+      core::SpectralObjective objective(&aggregator, 4,
+                                        core::ObjectiveOptions(), &workspace);
+      const std::vector<double> w1 = {0.55, 0.45};
+      const std::vector<double> w2 = {0.30, 0.70};
+      // Warm-up: the first evaluations size every workspace buffer.
+      ASSERT_TRUE(objective.Evaluate(w1).ok());
+      ASSERT_TRUE(objective.Evaluate(w2).ok());
 
-    const int64_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int i = 0; i < 10; ++i) {
-      auto value = objective.Evaluate(i % 2 == 0 ? w1 : w2);
-      ASSERT_TRUE(value.ok());
+      const int64_t before = g_allocations.load(std::memory_order_relaxed);
+      for (int i = 0; i < 10; ++i) {
+        auto value = objective.Evaluate(i % 2 == 0 ? w1 : w2);
+        ASSERT_TRUE(value.ok());
+      }
+      const int64_t after = g_allocations.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0) << "steady-state Evaluate allocated at n="
+                                   << n << " threads=" << threads;
     }
-    const int64_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0)
-        << "steady-state Evaluate allocated at threads=" << threads;
   }
 }
 

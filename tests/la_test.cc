@@ -1,12 +1,21 @@
 // Unit tests for the la/ numerical substrate: SpMV and WeightedSum against
-// dense references, Lanczos vs an analytic 3x3 spectrum, submatrix extraction
-// and the truncated SVD, plus the per-ISA SIMD kernel contracts (remainder
-// lanes, SELL layout, cross-ISA bit rules from la/simd_table.h).
+// dense references, Lanczos vs an analytic 3x3 spectrum, a seeded-random
+// Lanczos oracle (orthonormality, residuals, dense-Jacobi spectra and
+// thread-count bit-identity; replay one seed with SGLA_LANCZOS_ORACLE_SEED),
+// submatrix extraction and the truncated SVD, plus the per-ISA SIMD kernel
+// contracts (remainder lanes, SELL layout, cross-ISA bit rules from
+// la/simd_table.h).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/generator.h"
+#include "graph/laplacian.h"
 #include "la/dense.h"
 #include "la/eigen_sym.h"
 #include "la/lanczos.h"
@@ -14,6 +23,7 @@
 #include "la/sparse.h"
 #include "la/svd.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sgla {
 namespace {
@@ -156,6 +166,164 @@ TEST(LanczosTest, LargeSparseMatchesDenseJacobi) {
     EXPECT_NEAR(lanczos->values[static_cast<size_t>(j)],
                 dense_values[static_cast<size_t>(j)], 1e-7);
   }
+}
+
+/// Normalized Laplacian of an SBM graph with `blocks` planted clusters: the
+/// `blocks` smallest eigenvalues sit well below the spectral bulk.
+la::CsrMatrix ClusteredLaplacian(int64_t n, int blocks, Rng* rng) {
+  const std::vector<int32_t> labels = data::BalancedLabels(n, blocks, rng);
+  const double block_size = static_cast<double>(n) / blocks;
+  const double p_in =
+      std::min(1.0, (12.0 + 8.0 * rng->Uniform()) / block_size);
+  const double p_out = p_in * (0.01 + 0.04 * rng->Uniform()) / blocks;
+  return graph::NormalizedLaplacian(
+      data::SbmGraph(labels, blocks, p_in, p_out, rng));
+}
+
+/// Block-diagonal Laplacian of three disconnected components: two identical
+/// copies of one clustered component (so every eigenvalue of it is repeated)
+/// after a third that absorbs the n mod 3 remainder (identical to the copies
+/// when 3 divides n). Eigenvalue 0 has multiplicity at least 3, which
+/// single-vector Lanczos can only resolve through deflated restarts.
+la::CsrMatrix RepeatedComponentsLaplacian(int64_t n, int blocks, Rng* rng) {
+  const int64_t size = n / 3;
+  const la::CsrMatrix copy = ClusteredLaplacian(size, blocks, rng);
+  const la::CsrMatrix first =
+      n % 3 == 0 ? copy : ClusteredLaplacian(size + n % 3, blocks, rng);
+  std::vector<la::Triplet> entries;
+  int64_t offset = 0;
+  for (const la::CsrMatrix* part : {&first, &copy, &copy}) {
+    for (int64_t r = 0; r < part->rows; ++r) {
+      const int64_t end = part->row_ptr[static_cast<size_t>(r) + 1];
+      for (int64_t p = part->row_ptr[static_cast<size_t>(r)]; p < end; ++p) {
+        entries.push_back({offset + r,
+                           offset + part->col_idx[static_cast<size_t>(p)],
+                           part->values[static_cast<size_t>(p)]});
+      }
+    }
+    offset += part->rows;
+  }
+  return la::FromTriplets(n, n, std::move(entries));
+}
+
+class ThreadCountGuard {
+ public:
+  ~ThreadCountGuard() {
+    util::ThreadPool::SetGlobalThreads(util::ThreadPool::DefaultThreads());
+  }
+};
+
+/// One oracle case: orthonormal output (||V^T V - I||_inf <= 1e-10), every
+/// residual within the solver tolerance, dense-Jacobi eigenvalues for small
+/// n, and — when `check_threads` (n spanning several orthogonalization
+/// chunks) — identical bits at 1, 2, 4 and 8 pool threads.
+void RunLanczosOracleCase(uint64_t seed, int64_t n, bool disconnected,
+                          bool check_threads) {
+  Rng rng(seed ^ (static_cast<uint64_t>(n) << 1) ^ (disconnected ? 1 : 0));
+  const int k = static_cast<int>(rng.UniformInt(2, 8));
+  const int blocks = k + 1 + static_cast<int>(rng.UniformInt(0, 3));
+  const std::string fixture =
+      "SGLA_LANCZOS_ORACLE_SEED=" + std::to_string(seed) +
+      " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+      " blocks=" + std::to_string(blocks) +
+      (disconnected ? " repeated-components" : " clustered");
+  SCOPED_TRACE(fixture);
+  const la::CsrMatrix m = disconnected
+                              ? RepeatedComponentsLaplacian(n, blocks, &rng)
+                              : ClusteredLaplacian(n, blocks, &rng);
+  const double sigma = 2.0;  // normalized-Laplacian spectrum bound
+  // The default subspace, max(2k + 24, 48), is an early-exit budget: on
+  // the near-degenerate planted clusters below some pairs stop short of the
+  // tolerance and are served as best leftovers (the documented design). A
+  // 96-vector basis converges every case, so the residual bound holds, and
+  // it doubles the rows each reorthogonalization sweep projects out.
+  la::LanczosOptions options;
+  options.max_subspace = 96;
+  const double tolerance = options.tolerance * sigma;  // the solver's own
+
+  ThreadCountGuard guard;
+  util::ThreadPool::SetGlobalThreads(1);
+  auto eigen = la::SmallestEigenpairs(m, k, sigma, options);
+  ASSERT_TRUE(eigen.ok()) << eigen.status().ToString();
+  ASSERT_EQ(eigen->vectors.rows(), n);
+  ASSERT_EQ(eigen->vectors.cols(), k);
+
+  double gram_error = 0.0;  // max row sum of |V^T V - I|
+  for (int a = 0; a < k; ++a) {
+    double row_sum = 0.0;
+    for (int b = 0; b < k; ++b) {
+      double dot = 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        dot += eigen->vectors(i, a) * eigen->vectors(i, b);
+      }
+      row_sum += std::fabs(dot - (a == b ? 1.0 : 0.0));
+    }
+    gram_error = std::max(gram_error, row_sum);
+  }
+  EXPECT_LE(gram_error, 1e-10) << fixture << ": ||V^T V - I||_inf";
+
+  la::Vector v(static_cast<size_t>(n)), mv(static_cast<size_t>(n));
+  for (int j = 0; j < k; ++j) {
+    for (int64_t i = 0; i < n; ++i) {
+      v[static_cast<size_t>(i)] = eigen->vectors(i, j);
+    }
+    la::Spmv(m, v.data(), mv.data());
+    la::Axpy(-eigen->values[static_cast<size_t>(j)], v.data(), mv.data(), n);
+    EXPECT_LE(la::Norm2(mv.data(), n), tolerance)
+        << fixture << ": residual of pair " << j;
+  }
+
+  if (n <= 600) {
+    la::Vector dense_values;
+    la::DenseMatrix dense_vectors;
+    la::JacobiEigenSymmetric(la::ToDense(m), &dense_values, &dense_vectors);
+    for (int j = 0; j < k; ++j) {
+      EXPECT_NEAR(eigen->values[static_cast<size_t>(j)],
+                  dense_values[static_cast<size_t>(j)], 1e-7)
+          << fixture << ": eigenvalue " << j << " vs dense Jacobi";
+    }
+  }
+
+  if (!check_threads) return;
+  ASSERT_GE(util::ThreadPool::NumChunks(0, n, la::kOrthoGrain), 3) << fixture;
+  for (int threads : {2, 4, 8}) {
+    util::ThreadPool::SetGlobalThreads(threads);
+    auto again = la::SmallestEigenpairs(m, k, sigma, options);
+    ASSERT_TRUE(again.ok()) << fixture << ": " << again.status().ToString();
+    EXPECT_EQ(again->values, eigen->values)
+        << fixture << ": eigenvalues differ at threads=" << threads;
+    EXPECT_EQ(again->vectors.data(), eigen->vectors.data())
+        << fixture << ": eigenvectors differ at threads=" << threads;
+  }
+}
+
+TEST(LanczosTest, SeededRandomOracle) {
+  // SGLA_LANCZOS_ORACLE_SEED replays one seed across every size and kind.
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("SGLA_LANCZOS_ORACLE_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    seeds = {20261017, 20261018};
+  }
+  // Around one orthogonalization chunk (kOrthoGrain = 2048) and its ragged
+  // multiples, plus one tiny Lanczos-path size and one large one. The
+  // thread sweep runs at n = 6145: three full chunks and a one-element tail.
+  for (uint64_t seed : seeds) {
+    for (int64_t n : {97, 2047, 2048, 2049, 6145, 20000}) {
+      for (bool disconnected : {false, true}) {
+        RunLanczosOracleCase(seed, n, disconnected,
+                             /*check_threads=*/n == 6145);
+      }
+    }
+  }
+}
+
+/// The threads x shards x ISA determinism gate (sgla_bitdump, and the
+/// largest sharding_test oracle case) runs at n = 2570; that n must span
+/// several orthogonalization chunks so the gate exercises the chunk-ordered
+/// merge of the reorthogonalization dots.
+TEST(LanczosTest, BitdumpSizeSpansSeveralOrthogonalizationChunks) {
+  EXPECT_GE(util::ThreadPool::NumChunks(0, 2570, la::kOrthoGrain), 2);
 }
 
 /// Satellite: every compiled-and-runnable ISA path must produce correct SpMV
