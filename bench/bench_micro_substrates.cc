@@ -509,9 +509,44 @@ void BM_EngineSolveFastTier(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSolveFastTier)->Arg(512)->Arg(2000);
 
-// Registration-time cost of the coarse companion: the multilevel heavy-edge
-// matching over the union pattern plus the Galerkin contraction of one view.
-// This is what UpdateGraph pays again on an above-churn pattern delta.
+// What the first fast request of a graph pays now that registration leaves
+// the coarse companion unbuilt: registration, then one fast solve that
+// builds the companion first. Wall time (the solve runs on a session
+// worker); compare against BM_EngineSolveFastTier, which reuses a built
+// companion, for the cost the lazy build moved onto this request.
+void BM_EngineFirstFastSolve(benchmark::State& state) {
+  const Fixture& f = Fixture::Get(state.range(0));
+  serve::GraphRegistry registry;
+  serve::EngineOptions options;
+  options.num_sessions = 1;
+  serve::Engine engine(&registry, options);
+  serve::SolveRequest request;
+  request.graph_id = "bench";
+  request.algorithm = serve::Algorithm::kSglaPlus;
+  request.quality = serve::Quality::kFast;
+  for (auto _ : state) {
+    auto registered = registry.RegisterViews("bench", f.views, 4);
+    auto response = engine.Solve(request);
+    if (!registered.ok() || !response.ok() ||
+        response->stats.tier_served != serve::Quality::kFast) {
+      state.SkipWithError("first fast solve failed or fell back to exact");
+      return;
+    }
+    state.PauseTiming();
+    engine.EvictGraph("bench");
+    state.ResumeTiming();
+  }
+  state.SetLabel(la::simd::ActiveIsaName());
+}
+BENCHMARK(BM_EngineFirstFastSolve)
+    ->Arg(2000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// Build cost of the coarse companion, paid by the first fast/refined request
+// of an epoch: the multilevel heavy-edge matching over the union pattern
+// plus the Galerkin contraction of one view. UpdateGraph pays it again when
+// a built companion's summed churn passes the limit.
 void BM_CoarsenGraph(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
   core::LaplacianAggregator aggregator(&f.views);
@@ -559,8 +594,10 @@ BENCHMARK(BM_CoarsenGraphConstantDegree)
 // Steady-state incremental updates: a value-only delta (weight nudges on
 // existing edges) absorbed by UpdateGraph's copy-on-write epoch swap. The
 // epoch build allocates by design (new entry + donor aggregator); recorded
-// for the perf trajectory, not alloc-gated.
-void BM_EngineUpdateGraphValueOnly(benchmark::State& state) {
+// for the perf trajectory, not alloc-gated. `build_companion` builds the
+// coarse companion before the loop, so every update also maintains it (the
+// cost a graph serving fast requests pays); otherwise it is never built.
+void RunUpdateGraphValueOnly(benchmark::State& state, bool build_companion) {
   const int64_t n = state.range(0);
   Rng rng(177);
   std::vector<int32_t> labels = data::BalancedLabels(n, 4, &rng);
@@ -570,8 +607,13 @@ void BM_EngineUpdateGraphValueOnly(benchmark::State& state) {
   mvag.set_labels(std::move(labels));
 
   serve::GraphRegistry registry;
-  if (!registry.Register("bench", mvag).ok()) {
+  auto registered = registry.Register("bench", mvag);
+  if (!registered.ok()) {
     state.SkipWithError("Register failed");
+    return;
+  }
+  if (build_companion && (*registered)->coarse == nullptr) {
+    state.SkipWithError("no coarse companion");
     return;
   }
   serve::GraphDelta delta;
@@ -600,7 +642,18 @@ void BM_EngineUpdateGraphValueOnly(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
   state.SetLabel(la::simd::ActiveIsaName());
 }
+
+void BM_EngineUpdateGraphValueOnly(benchmark::State& state) {
+  RunUpdateGraphValueOnly(state, /*build_companion=*/true);
+}
 BENCHMARK(BM_EngineUpdateGraphValueOnly)->Arg(2000);
+
+// The same updates on a graph that never served a fast request: the
+// companion stays unbuilt, so an update pays for the fine tier only.
+void BM_EngineUpdateGraphValueOnlyLazy(benchmark::State& state) {
+  RunUpdateGraphValueOnly(state, /*build_companion=*/false);
+}
+BENCHMARK(BM_EngineUpdateGraphValueOnlyLazy)->Arg(2000);
 
 // Warm re-solve after a small delta: the serving loop the warm-start cache
 // exists for (update -> warm_start solve, repeatedly). Compare ns against

@@ -258,11 +258,13 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
                                   SessionWorkspace* ws) {
   const int k = request.k > 0 ? request.k : entry.num_clusters;
 
-  // Tier resolution: fast/refined need the coarse companion; entries
-  // without one (coarsening disabled, tiny graph, matching achieved no
-  // reduction) quietly serve exact.
-  const CoarseGraphEntry* coarse = entry.coarse.get();
+  // Tier resolution: fast/refined need the coarse companion — the first
+  // such request of an epoch builds it, exact requests never touch it.
+  // Entries without one (coarsening disabled, tiny graph, matching achieved
+  // no reduction) quietly serve exact.
   Quality quality = request.quality;
+  const CoarseGraphEntry* coarse =
+      quality == Quality::kExact ? nullptr : entry.coarse.get();
   if (coarse == nullptr) quality = Quality::kExact;
   const bool fast = quality == Quality::kFast;
   const int64_t solve_rows =

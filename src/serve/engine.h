@@ -46,7 +46,9 @@ enum class Quality {
   /// labels copy through the prolongation map, embeddings row-gather.
   /// Roughly an order of magnitude cheaper at the default coarsen_ratio;
   /// approximate by construction (response.integration.laplacian is
-  /// coarse-sized). Entries without a companion quietly serve exact.
+  /// coarse-sized). The first fast or refined request of a graph epoch
+  /// builds the companion (GraphEntry::coarse) and pays for it; later ones
+  /// reuse it. Entries without a companion quietly serve exact.
   kFast,
   /// Fast's coarse solve first, then the exact solve seeded from it: the
   /// coarse optimal weights become initial_weights and the prolongated

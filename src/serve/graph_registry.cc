@@ -14,11 +14,12 @@ uint64_t NextLineage() {
   return ++counter;
 }
 
-// Coarse-companion policy. Above this fraction of structurally-changed fine
-// rows, UpdateGraph abandons localized plan repair and re-coarsens from
-// scratch (a repaired plan stays valid but drifts from what a fresh matching
-// would build); below the row floor, registration skips the companion — the
-// exact solve is already cheap there.
+// Coarse-companion policy. Once the structurally-changed fine rows summed
+// over the deltas since a plan was last built from scratch pass this
+// fraction of the rows, UpdateGraph abandons localized plan repair and
+// re-coarsens from scratch (a repaired plan stays valid but drifts from what
+// a fresh matching would build); below the row floor, no companion is built
+// — the exact solve is already cheap there.
 constexpr double kCoarseChurnThreshold = 0.05;
 constexpr int64_t kMinCoarsenFineRows = 64;
 
@@ -61,30 +62,28 @@ void BuildActiveState(GraphEntry* entry) {
   }
 }
 
-// Contracts serving view `v` onto the coarse node set. Graph views contract
-// directly (Galerkin similarity + re-normalize); attribute views average the
-// fine attribute rows per cluster and re-run that view's KNN on the coarse
-// attributes, so the coarse view reflects coarse-level neighborhoods instead
-// of a contraction of fine KNN edges. `to_global` maps a serving index to
-// the mvag's global view index (null = identity, i.e. nothing masked).
-// Without a source graph (RegisterViews) every view contracts directly —
-// the registry cannot tell them apart.
-Result<la::CsrMatrix> ContractOneView(
-    const std::vector<la::CsrMatrix>& fine_views,
-    const coarse::CoarsePlan& plan, const core::MultiViewGraph* mvag,
-    const graph::KnnOptions& knn, size_t v,
-    const std::vector<int>* to_global) {
-  const size_t global =
-      to_global == nullptr || to_global->empty()
-          ? v
-          : static_cast<size_t>((*to_global)[v]);
+// Contracts serving view `v` of `entry` onto the coarse node set. Graph
+// views contract directly (Galerkin similarity + re-normalize); attribute
+// views average the entry's pinned attribute rows per cluster and re-run
+// that view's KNN on the coarse attributes, so the coarse view reflects
+// coarse-level neighborhoods instead of a contraction of fine KNN edges.
+// Without pinned attributes (RegisterViews, or a graph without attribute
+// views) every view contracts directly.
+Result<la::CsrMatrix> ContractOneView(const GraphEntry& entry,
+                                      const coarse::CoarsePlan& plan,
+                                      const graph::KnnOptions& knn, size_t v) {
+  const size_t global = entry.active_to_global.empty()
+                            ? v
+                            : static_cast<size_t>(entry.active_to_global[v]);
+  // Global view order is graph views first, attribute views last.
   const size_t num_graph_views =
-      mvag == nullptr ? fine_views.size() : mvag->graph_views().size();
+      entry.views.size() -
+      (entry.attributes == nullptr ? 0 : entry.attributes->size());
   if (global < num_graph_views) {
-    return coarse::ContractView(fine_views[v], plan);
+    return coarse::ContractView(entry.serving_views()[v], plan);
   }
   const la::DenseMatrix& attributes =
-      mvag->attribute_views()[global - num_graph_views];
+      (*entry.attributes)[global - num_graph_views];
   core::MultiViewGraph coarse_mvag(plan.coarse_rows, 0);
   coarse_mvag.AddAttributeView(coarse::AverageRows(attributes, plan));
   return core::ComputeViewLaplacian(coarse_mvag, 0, knn);
@@ -98,12 +97,13 @@ Result<la::CsrMatrix> ContractOneView(
 // active subset only, matching what a fresh registration of that subset
 // would build.
 std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
-    const GraphEntry& entry, const core::MultiViewGraph* mvag,
-    const graph::KnnOptions& knn, double ratio) {
-  if (ratio <= 0.0 || entry.num_nodes < kMinCoarsenFineRows) return nullptr;
+    const GraphEntry& entry, const graph::KnnOptions& knn) {
+  if (entry.coarsen_ratio <= 0.0 || entry.num_nodes < kMinCoarsenFineRows) {
+    return nullptr;
+  }
   const std::vector<la::CsrMatrix>& fine = entry.serving_views();
   coarse::CoarsenOptions options;
-  options.ratio = ratio;
+  options.ratio = entry.coarsen_ratio;
   std::unique_ptr<CoarseGraphEntry> companion(new CoarseGraphEntry);
   companion->plan = coarse::BuildCoarsePlan(entry.aggregator->pattern(),
                                             fine, options);
@@ -113,8 +113,7 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
   }
   companion->views.reserve(fine.size());
   for (size_t v = 0; v < fine.size(); ++v) {
-    auto view = ContractOneView(fine, companion->plan, mvag, knn, v,
-                                &entry.active_to_global);
+    auto view = ContractOneView(entry, companion->plan, knn, v);
     if (!view.ok()) return nullptr;
     companion->views.push_back(std::move(*view));
   }
@@ -122,7 +121,46 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
   return std::unique_ptr<const CoarseGraphEntry>(companion.release());
 }
 
+// A copy of `mvag`'s attribute matrices for `entry` to pin, or null when no
+// companion build of the entry would ever read one.
+std::shared_ptr<const std::vector<la::DenseMatrix>> PinAttributes(
+    const GraphEntry& entry, const core::MultiViewGraph& mvag) {
+  if (entry.coarsen_ratio <= 0.0 || entry.num_nodes < kMinCoarsenFineRows ||
+      mvag.attribute_views().empty()) {
+    return nullptr;
+  }
+  return std::make_shared<const std::vector<la::DenseMatrix>>(
+      mvag.attribute_views());
+}
+
+// Arms `entry`'s companion to build from the entry's own state on first use.
+// The raw pointer is safe: the slot lives inside the entry, and entries never
+// move.
+void DeferCoarse(GraphEntry* entry, const graph::KnnOptions& knn) {
+  const GraphEntry* owner = entry;
+  entry->coarse.Defer([owner, knn] { return BuildCoarseEntry(*owner, knn); });
+}
+
 }  // namespace
+
+void CoarseCompanion::Install(
+    std::unique_ptr<const CoarseGraphEntry> companion) {
+  build_ = nullptr;
+  companion_ = std::move(companion);
+  built_.store(true, std::memory_order_release);
+}
+
+const CoarseGraphEntry* CoarseCompanion::get() const {
+  if (!built_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!built_.load(std::memory_order_relaxed)) {
+      if (build_) companion_ = build_();
+      build_ = nullptr;
+      built_.store(true, std::memory_order_release);
+    }
+  }
+  return companion_.get();
+}
 
 std::unique_ptr<core::LaplacianAggregator> GraphRegistry::MakeAggregator(
     const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries) {
@@ -200,8 +238,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
                    : std::vector<int64_t>());
   entry->coarsen_ratio = options.coarsen_ratio > 0.0 ? options.coarsen_ratio
                                                      : 0.0;
-  entry->coarse = BuildCoarseEntry(*entry, mvag, options.knn,
-                                   entry->coarsen_ratio);
+  if (mvag != nullptr) entry->attributes = PinAttributes(*entry, *mvag);
+  DeferCoarse(entry.get(), options.knn);
   std::shared_ptr<const GraphEntry> published = std::move(entry);
   std::lock_guard<std::mutex> lock(mutex_);
   auto inserted = graphs_.emplace(published->id, published);
@@ -434,8 +472,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     // holds.
     entry->aggregator =
         MakeAggregator(serving, old->aggregator->boundaries());
-    entry->coarse = BuildCoarseEntry(*entry, &source->mvag, source->knn,
-                                     entry->coarsen_ratio);
+    entry->attributes = PinAttributes(*entry, source->mvag);
+    DeferCoarse(entry.get(), source->knn);
 
     std::shared_ptr<const GraphEntry> published = std::move(entry);
     std::lock_guard<std::mutex> lock(mutex_);
@@ -453,16 +491,25 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   entry->active = old->active;  // all active on this path
   entry->views_signature = old->views_signature;
   bool value_only = true;
+  // Only a companion that was already built is maintained; an unbuilt one
+  // stays lazy (`built()` never builds, unlike a nullptr comparison).
+  const CoarseGraphEntry* old_coarse =
+      old->coarse.built() ? old->coarse.get() : nullptr;
   // Fine rows whose *structural* slots changed in some view, and their count
   // (churn). The coarse plan is a pure function of structure, so these rows
   // are exactly the ones that can invalidate it.
   std::vector<bool> changed_rows;
   int64_t churn = 0;
-  if (old->coarse != nullptr) {
+  if (old_coarse != nullptr) {
     changed_rows.assign(static_cast<size_t>(old->num_nodes), false);
   }
+  // Attribute rows the entry pins: a delta that edits no attribute view
+  // shares the previous epoch's.
+  bool attributes_touched = false;
+  const size_t num_graph_views = source->mvag.graph_views().size();
   for (size_t v = 0; v < affected.size(); ++v) {
     if (!affected[v]) continue;
+    attributes_touched = attributes_touched || v >= num_graph_views;
     auto laplacian =
         core::ComputeViewLaplacian(source->mvag, static_cast<int>(v),
                                    source->knn);
@@ -472,7 +519,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     const bool same_pattern = laplacian->row_ptr == old->views[v].row_ptr &&
                               laplacian->col_idx == old->views[v].col_idx;
     value_only = value_only && same_pattern;
-    if (!same_pattern && old->coarse != nullptr) {
+    if (!same_pattern && old_coarse != nullptr) {
       const la::CsrMatrix& now = *laplacian;
       const la::CsrMatrix& was = old->views[v];
       for (int64_t i = 0; i < old->num_nodes; ++i) {
@@ -507,56 +554,64 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
         MakeAggregator(&entry->views, old->aggregator->boundaries());
   }
 
+  entry->attributes = attributes_touched
+                          ? PinAttributes(*entry, source->mvag)
+                          : old->attributes;
+
   // Coarse companion maintenance (DESIGN.md "Tiered serving"). Value-only
   // deltas provably preserve the plan, so only the touched views re-contract
   // — and when their coarse patterns survive too, the coarse aggregator
   // donor-copies like the fine one. Localized structural churn repairs the
-  // affected clusters in place; heavy churn re-coarsens from scratch (which
-  // also makes update-then-solve equal re-register-then-solve above the
-  // threshold).
-  if (old->coarse != nullptr) {
+  // affected clusters in place; once the churn summed since the plan was
+  // last built from scratch passes the limit, it re-coarsens from scratch
+  // (which also makes update-then-solve equal re-register-then-solve on
+  // that epoch). An unbuilt companion stays lazy.
+  if (old_coarse == nullptr) {
+    DeferCoarse(entry.get(), source->knn);
+  } else {
     const double churn_limit =
         kCoarseChurnThreshold * static_cast<double>(entry->num_nodes);
+    const int64_t total_churn = old_coarse->churn + churn;
     std::unique_ptr<CoarseGraphEntry> companion;
-    if (static_cast<double>(churn) <= churn_limit) {
+    if (static_cast<double>(total_churn) <= churn_limit) {
       companion.reset(new CoarseGraphEntry);
-      companion->plan = old->coarse->plan;
+      companion->plan = old_coarse->plan;
+      companion->churn = total_churn;
       const bool plan_unchanged = churn == 0;
       if (!plan_unchanged) {
         coarse::RepairCoarsePlan(entry->aggregator->pattern(), entry->views,
                                  changed_rows, &companion->plan);
       }
-      companion->views = old->coarse->views;
+      companion->views = old_coarse->views;
       bool coarse_value_only = plan_unchanged;
       for (size_t v = 0; v < entry->views.size(); ++v) {
         // A repaired plan changes the coarse node set, so every view must
         // re-contract; an unchanged plan re-contracts only touched views.
         if (plan_unchanged && !affected[v]) continue;
-        auto view = ContractOneView(entry->views, companion->plan,
-                                    &source->mvag, source->knn, v, nullptr);
+        auto view = ContractOneView(*entry, companion->plan, source->knn, v);
         if (!view.ok()) {
           companion.reset();
           break;
         }
         coarse_value_only =
             coarse_value_only &&
-            view->row_ptr == old->coarse->views[v].row_ptr &&
-            view->col_idx == old->coarse->views[v].col_idx;
+            view->row_ptr == old_coarse->views[v].row_ptr &&
+            view->col_idx == old_coarse->views[v].col_idx;
         companion->views[v] = std::move(*view);
       }
       if (companion != nullptr) {
         companion->aggregator.reset(
             coarse_value_only
                 ? new core::LaplacianAggregator(&companion->views,
-                                                *old->coarse->aggregator)
+                                                *old_coarse->aggregator)
                 : new core::LaplacianAggregator(&companion->views));
       }
     }
-    entry->coarse =
-        companion != nullptr
-            ? std::unique_ptr<const CoarseGraphEntry>(companion.release())
-            : BuildCoarseEntry(*entry, &source->mvag, source->knn,
-                               entry->coarsen_ratio);
+    if (companion != nullptr) {
+      entry->coarse.Install(std::move(companion));
+    } else {
+      entry->coarse.Install(BuildCoarseEntry(*entry, source->knn));
+    }
   }
 
   // Publish iff the entry we built on is still current (compare-and-swap on

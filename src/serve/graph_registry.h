@@ -1,7 +1,10 @@
 #ifndef SGLA_SERVE_GRAPH_REGISTRY_H_
 #define SGLA_SERVE_GRAPH_REGISTRY_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,11 +41,12 @@ struct RegisterOptions {
   /// then fails with FailedPrecondition like a RegisterViews entry.
   bool updatable = true;
   /// Coarse-companion reduction ratio for the tiered serving path (see
-  /// DESIGN.md "Tiered serving"): registration builds a multilevel
-  /// heavy-edge coarsening of the union pattern targeting ~ratio * n coarse
-  /// rows, and quality=fast/refined solves run on it. 0 disables the
-  /// companion (tiered requests then quietly serve exact). Tiny graphs, and
-  /// graphs whose matching cannot shrink them, skip the companion too.
+  /// DESIGN.md "Tiered serving"): the first fast/refined solve of an epoch
+  /// builds a multilevel heavy-edge coarsening of the union pattern
+  /// targeting ~ratio * n coarse rows, and quality=fast/refined solves run
+  /// on it. 0 disables the companion (tiered requests then quietly serve
+  /// exact). Tiny graphs, and graphs whose matching cannot shrink them,
+  /// skip the companion too.
   double coarsen_ratio = 0.1;
   /// Serve every solve of this graph in robust mode by default (see
   /// core::ObjectiveOptions::robust and DESIGN.md "View lifecycle & robust
@@ -68,12 +72,66 @@ struct CoarseGraphEntry {
   /// like GraphEntry, the companion only lives behind the entry shared_ptr
   /// and never moves.
   std::unique_ptr<core::LaplacianAggregator> aggregator;
+  /// Fine rows whose structure changed in the deltas repaired into `plan`
+  /// since it was last built from scratch, summed per delta (0 for a fresh
+  /// plan). UpdateGraph re-coarsens from scratch once this passes its churn
+  /// limit, so repeated repairs cannot drift the plan away from what a
+  /// fresh coarsening would build.
+  int64_t churn = 0;
+};
+
+/// The coarse companion slot of a GraphEntry: built on first use, at most
+/// once, then shared by every reader. Registration, recovery and updates
+/// only arm the build (`Defer`); the first dereference — the engine's tier
+/// resolution for a fast/refined request, or any caller of get()/->/*/bool
+/// or a nullptr comparison — runs it, and concurrent first readers wait for
+/// that one build and see the same pointer. A companion an update
+/// maintained from its predecessor's arrives already built (`Install`).
+/// get() returns null when the graph has no companion (coarsening off, tiny
+/// graph, no reduction).
+class CoarseCompanion {
+ public:
+  using Builder = std::function<std::unique_ptr<const CoarseGraphEntry>()>;
+
+  CoarseCompanion() = default;
+  CoarseCompanion(const CoarseCompanion&) = delete;
+  CoarseCompanion& operator=(const CoarseCompanion&) = delete;
+
+  /// Arms the lazy build. Only before the owning entry is published.
+  void Defer(Builder build) { build_ = std::move(build); }
+  /// Installs an already-built companion. Only before the owning entry is
+  /// published.
+  void Install(std::unique_ptr<const CoarseGraphEntry> companion);
+
+  /// The companion, building it on the first call.
+  const CoarseGraphEntry* get() const;
+  /// True once the companion has been built (or installed). Never builds,
+  /// and never waits for a build in progress, so UpdateGraph can check it
+  /// without stalling behind a first fast request.
+  bool built() const { return built_.load(std::memory_order_acquire); }
+
+  const CoarseGraphEntry* operator->() const { return get(); }
+  const CoarseGraphEntry& operator*() const { return *get(); }
+  explicit operator bool() const { return get() != nullptr; }
+  friend bool operator==(const CoarseCompanion& c, std::nullptr_t) {
+    return c.get() == nullptr;
+  }
+  friend bool operator!=(const CoarseCompanion& c, std::nullptr_t) {
+    return c.get() != nullptr;
+  }
+
+ private:
+  mutable std::mutex mutex_;  ///< serializes the one build
+  mutable Builder build_;     ///< released once it has run
+  mutable std::unique_ptr<const CoarseGraphEntry> companion_;
+  mutable std::atomic<bool> built_{false};
 };
 
 /// Immutable per-graph serving state, built once at registration: the view
 /// Laplacians and the aggregator holding their union sparsity pattern and
 /// the graph's row partition. Every solve on the graph reads this and only
-/// this — no solve mutates it — so any number of concurrent solves may share
+/// this — no solve mutates it (the coarse companion is built once, on first
+/// use, behind its own lock) — so any number of concurrent solves may share
 /// one entry.
 struct GraphEntry {
   std::string id;
@@ -140,9 +198,17 @@ struct GraphEntry {
   /// The ratio the entry was registered with, carried across epochs so
   /// UpdateGraph can rebuild the companion consistently. 0 when disabled.
   double coarsen_ratio = 0.0;
-  /// Present iff the graph was registered with coarsen_ratio > 0 and the
-  /// matching achieved an actual reduction; fast/refined solves read it.
-  std::unique_ptr<const CoarseGraphEntry> coarse;
+  /// This epoch's attribute matrices (global attribute-view order), pinned
+  /// so a companion built long after later epochs were published still
+  /// contracts this epoch's rows. Epochs that touch no attribute view share
+  /// their predecessor's pointer. Null when the graph has no attribute
+  /// views, no update source (RegisterViews) or can never get a companion.
+  std::shared_ptr<const std::vector<la::DenseMatrix>> attributes;
+  /// Built from this epoch's state on first fast/refined use (see
+  /// CoarseCompanion), unless UpdateGraph maintained it from the previous
+  /// epoch's built companion. Null iff the graph was registered with
+  /// coarsen_ratio = 0, is tiny, or the matching achieved no reduction.
+  CoarseCompanion coarse;
 };
 
 /// Mutable per-graph state a persist checkpoint must capture beyond the
@@ -214,21 +280,28 @@ class GraphRegistry {
   /// the current entry without bumping the epoch.
   ///
   /// Lifecycle deltas (AddView/RemoveView/MaskView/UnmaskView), and any
-  /// delta applied while some view is masked, rebuild the serving state
-  /// (aggregator, coarse companion) from scratch over the
-  /// active view subset — exactly what registering that subset fresh would
-  /// build, so masked/removed-view solves are bit-identical to a fresh
-  /// registration of the subset. AddView precomputes the Laplacian (and,
-  /// for attribute views, the KNN graph) of just the new view; MaskView
-  /// keeps the view's Laplacian so a later UnmaskView recomputes nothing.
+  /// delta applied while some view is masked, rebuild the serving
+  /// aggregator from scratch over the active view subset and leave the
+  /// coarse companion to a lazy build — exactly what registering that
+  /// subset fresh would build, so masked/removed-view solves are
+  /// bit-identical to a fresh registration of the subset.
+  ///
+  /// AddView precomputes the Laplacian (and, for attribute views, the KNN
+  /// graph) of just the new view; MaskView keeps the view's Laplacian so a
+  /// later UnmaskView recomputes nothing.
+  ///
+  /// The coarse companion is maintained only when the previous epoch's was
+  /// already built (value-only carry, in-place repair, or a rebuild once
+  /// the structural churn since its last from-scratch build passes 5% of
+  /// the rows); otherwise the new epoch builds it lazily too.
   Result<std::shared_ptr<const GraphEntry>> UpdateGraph(
       const std::string& id, const GraphDelta& delta);
 
   /// Register() with the checkpointed mutable state installed instead of the
   /// registration defaults: the entry comes back at `state.epoch` with the
   /// checkpointed view uids, activity mask and uid allocator, and the serving
-  /// state (aggregator, coarse companion) is rebuilt from
-  /// scratch over the active subset — exactly what the lifecycle-update path
+  /// aggregator is rebuilt from scratch over the active subset (the coarse
+  /// companion builds lazily) — exactly what the lifecycle-update path
   /// builds, so recovered solves are bit-identical to the pre-crash process.
   /// Fails on duplicate id or on state that contradicts the graph (uid count
   /// vs view count, empty active set, signature mismatch).
@@ -267,10 +340,11 @@ class GraphRegistry {
     std::mutex mutex;
   };
 
-  /// `mvag` (may be null for RegisterViews entries) lets the coarse builder
-  /// re-run attribute-view KNN on the averaged coarse attributes. `restore`
-  /// (null for plain registration) swaps the registration-default epoch /
-  /// uids / activity mask for checkpointed ones (see Restore).
+  /// `mvag` (may be null for RegisterViews entries) supplies the attribute
+  /// rows the lazy coarse build re-runs KNN on (averaged per coarse row,
+  /// with `options.knn`). `restore` (null for plain registration) swaps the
+  /// registration-default epoch / uids / activity mask for checkpointed ones
+  /// (see Restore).
   Result<std::shared_ptr<const GraphEntry>> Publish(
       std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
       std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,

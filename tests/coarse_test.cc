@@ -5,21 +5,31 @@
 // repair against reference implementations on seeded-random inputs, the
 // fast tier's NMI gap against exact on an SBM fixture, delta maintenance of
 // the coarse companion (value-only and above-churn pattern deltas must match
-// a fresh re-registration bit for bit; small pattern deltas repair in
-// place), the refined tier's strictly-fewer-Lanczos-iterations contract, and
-// the zero-allocation steady state of the coarse serving kernels.
+// a fresh re-registration bit for bit; small pattern deltas repair in place
+// until their summed churn passes the limit), the lazy companion (only a
+// first use builds it, a late build reads its own epoch, concurrent first
+// uses build once), the refined tier's strictly-fewer-Lanczos-iterations
+// contract, and the zero-allocation steady state of the coarse serving
+// kernels.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/spectral_clustering.h"
 #include "coarse/affinity.h"
 #include "coarse/coarsen.h"
+#include "core/integration.h"
 #include "core/objective.h"
 #include "core/view_laplacian.h"
 #include "data/generator.h"
@@ -716,7 +726,10 @@ TEST(FastTierTest, FallsBackToExactWithoutCompanion) {
 TEST(CoarseUpdateTest, ValueOnlyDeltaMatchesReregistration) {
   const CoarseFixture f = CoarseFixture::Make(600, 3, 81);
   serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
+  auto registered = registry.Register("g", f.mvag);
+  ASSERT_TRUE(registered.ok());
+  // Build the companion first, so the update maintains it.
+  ASSERT_NE((*registered)->coarse.get(), nullptr);
 
   const serve::GraphDelta delta = WeightDelta(f.mvag, 40, 2.5);
   auto updated = registry.UpdateGraph("g", delta);
@@ -749,7 +762,10 @@ TEST(CoarseUpdateTest, LargePatternDeltaMatchesReregistration) {
   // from registering the post-delta graph fresh.
   const CoarseFixture f = CoarseFixture::Make(600, 3, 91);
   serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
+  auto registered = registry.Register("g", f.mvag);
+  ASSERT_TRUE(registered.ok());
+  // Build the companion first, so the update maintains it.
+  ASSERT_NE((*registered)->coarse.get(), nullptr);
 
   const serve::GraphDelta delta = RemovalDelta(f.mvag, 120);
   auto updated = registry.UpdateGraph("g", delta);
@@ -797,6 +813,281 @@ TEST(CoarseUpdateTest, SmallPatternDeltaRepairsCompanionInPlace) {
       SolveTier(&engine, "g", serve::Quality::kFast);
   EXPECT_EQ(fast.stats.tier_served, serve::Quality::kFast);
   EXPECT_EQ(fast.labels.size(), static_cast<size_t>(600));
+}
+
+TEST(CoarseUpdateTest, SummedChurnRecoarsensFromScratchAtTheLimit) {
+  // Each delta removes two view-0 edges with four endpoints no earlier delta
+  // touched, so it structurally changes exactly four rows: far below the
+  // 5% limit (30 of 600 rows) on its own. Summed since the last
+  // from-scratch build, the churn passes the limit at the eighth delta
+  // (32 rows), which must re-coarsen exactly like a fresh registration;
+  // before that, every delta repairs the plan in place.
+  const int64_t n = 600;
+  const CoarseFixture f = CoarseFixture::Make(n, 3, 131);
+  serve::GraphRegistry registry;
+  auto registered = registry.Register("g", f.mvag);
+  ASSERT_TRUE(registered.ok());
+  ASSERT_NE((*registered)->coarse.get(), nullptr);
+  EXPECT_EQ((*registered)->coarse->churn, 0);
+
+  const std::vector<graph::Edge>& edges = f.mvag.graph_views()[0].edges();
+  std::set<int64_t> used;
+  size_t next_edge = 0;
+  core::MultiViewGraph post = f.mvag;
+  for (int epoch = 1; epoch <= 9; ++epoch) {
+    serve::GraphDelta delta;
+    serve::GraphViewDelta removals;
+    removals.view = 0;
+    while (removals.removals.size() < 2 && next_edge < edges.size()) {
+      const graph::Edge& e = edges[next_edge++];
+      if (e.u == e.v || used.count(e.u) != 0 || used.count(e.v) != 0) {
+        continue;
+      }
+      used.insert(e.u);
+      used.insert(e.v);
+      removals.removals.push_back({e.u, e.v});
+    }
+    ASSERT_EQ(removals.removals.size(), 2u);
+    delta.graph_views.push_back(std::move(removals));
+    std::vector<bool> affected;
+    ASSERT_TRUE(serve::ApplyDelta(&post, delta, &affected).ok());
+
+    auto updated = registry.UpdateGraph("g", delta);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    ASSERT_TRUE((*updated)->coarse.built()) << "epoch " << epoch;
+    const serve::CoarseGraphEntry& companion = *(*updated)->coarse;
+    ExpectValidCanonicalPlan(companion.plan);
+    if (epoch != 8) {
+      // Repaired in place: the churn keeps summing (and restarts after the
+      // rebuild at epoch 8).
+      EXPECT_EQ(companion.churn, 4 * ((epoch - 1) % 8 + 1))
+          << "epoch " << epoch;
+      continue;
+    }
+    EXPECT_EQ(companion.churn, 0) << "the limit crossing must re-coarsen";
+    auto fresh = registry.Register("fresh", post);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_NE((*fresh)->coarse, nullptr);
+    ExpectSamePlan((*fresh)->coarse->plan, companion.plan);
+    ExpectSameViews((*fresh)->coarse->views, companion.views);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy companion
+// ---------------------------------------------------------------------------
+
+/// Two SBM views plus one Gaussian attribute view, so companion builds
+/// exercise the attribute path (coarse KNN on averaged rows).
+core::MultiViewGraph AttributedFixture(int64_t n, int k, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int32_t> labels = data::BalancedLabels(n, k, &rng);
+  core::MultiViewGraph mvag(n, k);
+  mvag.AddGraphView(data::SbmGraph(labels, k, 0.04, 0.004, &rng));
+  mvag.AddGraphView(data::SbmGraph(labels, k, 0.02, 0.008, &rng));
+  mvag.AddAttributeView(
+      data::GaussianAttributes(labels, k, 6, 3.0, 0.9, &rng));
+  mvag.set_labels(std::move(labels));
+  return mvag;
+}
+
+/// Rewrites `count` rows of attribute view 0: each takes the values of the
+/// row n/2 positions away.
+serve::GraphDelta AttributeRowsDelta(const core::MultiViewGraph& mvag,
+                                     int64_t count) {
+  const la::DenseMatrix& x = mvag.attribute_views()[0];
+  serve::GraphDelta delta;
+  for (int64_t i = 0; i < count; ++i) {
+    const int64_t row = i * 7 % x.rows();
+    const int64_t donor = (row + x.rows() / 2) % x.rows();
+    serve::AttributeRowUpdate update;
+    update.view = 0;
+    update.row = row;
+    update.values.resize(static_cast<size_t>(x.cols()));
+    for (int64_t c = 0; c < x.cols(); ++c) {
+      update.values[static_cast<size_t>(c)] = x(donor, c);
+    }
+    delta.attribute_rows.push_back(std::move(update));
+  }
+  return delta;
+}
+
+/// The fast tier's labels computed straight from a companion: SGLA+ on the
+/// coarse aggregator, spectral clustering, prolongation to fine rows.
+std::vector<int32_t> CompanionLabels(const serve::CoarseGraphEntry& coarse,
+                                     int k) {
+  core::EvalWorkspace workspace;
+  auto integration = core::SglaPlusOnAggregator(*coarse.aggregator, k,
+                                                FastOptions(), &workspace);
+  EXPECT_TRUE(integration.ok()) << integration.status().ToString();
+  if (!integration.ok()) return {};
+  auto labels = cluster::SpectralClustering(integration->laplacian, k);
+  EXPECT_TRUE(labels.ok()) << labels.status().ToString();
+  if (!labels.ok()) return {};
+  std::vector<int32_t> fine;
+  coarse::ProlongateLabels(coarse.plan, *labels, &fine);
+  return fine;
+}
+
+TEST(LazyCompanionTest, RegisterRestoreAndUpdatesNeverBuildIt) {
+  const core::MultiViewGraph mvag = AttributedFixture(600, 3, 141);
+  serve::GraphRegistry registry;
+  auto registered = registry.Register("g", mvag);
+  ASSERT_TRUE(registered.ok());
+  EXPECT_FALSE((*registered)->coarse.built());
+
+  // Exact solves never need the companion.
+  serve::Engine engine(&registry);
+  SolveTier(&engine, "g", serve::Quality::kExact);
+  EXPECT_FALSE((*registered)->coarse.built());
+
+  serve::GraphDelta add_view;
+  add_view.add_views.resize(1);
+  add_view.add_views[0].graph = mvag.graph_views()[1];
+  serve::GraphDelta mask;
+  mask.mask_views = {1};
+  serve::GraphDelta unmask;
+  unmask.unmask_views = {1};
+  serve::GraphDelta remove;
+  remove.remove_views = {2};  // the added graph view
+  const std::vector<serve::GraphDelta> deltas = {
+      WeightDelta(mvag, 20, 2.0),    // value-only
+      RemovalDelta(mvag, 2),         // small pattern
+      RemovalDelta(mvag, 120),       // pattern above the churn limit
+      AttributeRowsDelta(mvag, 10),  // attribute rows
+      mask,                          // lifecycle
+      WeightDelta(mvag, 20, 1.5),    // edit while masked
+      unmask,
+      add_view,
+      remove,
+  };
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    auto updated = registry.UpdateGraph("g", deltas[i]);
+    ASSERT_TRUE(updated.ok())
+        << "delta " << i << ": " << updated.status().ToString();
+    EXPECT_EQ((*updated)->epoch, static_cast<int64_t>(i) + 1);
+    EXPECT_FALSE((*updated)->coarse.built()) << "delta " << i;
+  }
+
+  serve::RestoreState state;
+  state.epoch = 7;
+  state.active = {true, false, true};
+  auto restored =
+      registry.Restore("r", mvag, serve::RegisterOptions(), state);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_FALSE((*restored)->coarse.built());
+
+  // The first fast request builds it.
+  const serve::SolveResponse fast =
+      SolveTier(&engine, "g", serve::Quality::kFast);
+  EXPECT_EQ(fast.stats.tier_served, serve::Quality::kFast);
+  EXPECT_TRUE(registry.Find("g")->coarse.built());
+}
+
+TEST(LazyCompanionTest, LateBuildReadsItsOwnEpoch) {
+  // Epoch 1's companion is first built after epoch 2 — an attribute-row
+  // update — was published. It must contract epoch 1's attribute rows, not
+  // the source graph's current ones, and so equal a fresh registration of
+  // epoch 1's graph.
+  const int k = 3;
+  const core::MultiViewGraph mvag = AttributedFixture(600, k, 151);
+  serve::GraphRegistry registry;
+  ASSERT_TRUE(registry.Register("g", mvag).ok());
+  const serve::GraphDelta first = RemovalDelta(mvag, 2);
+  auto epoch1 = registry.UpdateGraph("g", first);
+  ASSERT_TRUE(epoch1.ok()) << epoch1.status().ToString();
+  const serve::GraphDelta second = AttributeRowsDelta(mvag, 40);
+  auto epoch2 = registry.UpdateGraph("g", second);
+  ASSERT_TRUE(epoch2.ok()) << epoch2.status().ToString();
+  ASSERT_FALSE((*epoch1)->coarse.built());
+
+  core::MultiViewGraph graph1 = mvag;
+  std::vector<bool> affected;
+  ASSERT_TRUE(serve::ApplyDelta(&graph1, first, &affected).ok());
+  core::MultiViewGraph graph2 = graph1;
+  ASSERT_TRUE(serve::ApplyDelta(&graph2, second, &affected).ok());
+  auto fresh1 = registry.Register("fresh1", graph1);
+  auto fresh2 = registry.Register("fresh2", graph2);
+  ASSERT_TRUE(fresh1.ok() && fresh2.ok());
+
+  const serve::CoarseGraphEntry* late = (*epoch1)->coarse.get();
+  const serve::CoarseGraphEntry* reference = (*fresh1)->coarse.get();
+  ASSERT_NE(late, nullptr);
+  ASSERT_NE(reference, nullptr);
+  ExpectSamePlan(reference->plan, late->plan);
+  ExpectSameViews(reference->views, late->views);
+  EXPECT_EQ(CompanionLabels(*reference, k), CompanionLabels(*late, k));
+
+  // The attribute edit must matter, or the comparison above proves nothing:
+  // contracting epoch 2's rows over epoch 1's plan gives another coarse
+  // attribute view.
+  ASSERT_EQ(late->views.size(), 3u);
+  core::MultiViewGraph moved(late->plan.coarse_rows, 0);
+  moved.AddAttributeView(
+      coarse::AverageRows(graph2.attribute_views()[0], late->plan));
+  auto moved_view = core::ComputeViewLaplacian(moved, 0, graph::KnnOptions());
+  ASSERT_TRUE(moved_view.ok());
+  EXPECT_NE(moved_view->values, late->views[2].values);
+
+  // And the newer epoch builds from its own rows too.
+  ASSERT_NE((*epoch2)->coarse, nullptr);
+  ASSERT_NE((*fresh2)->coarse, nullptr);
+  ExpectSamePlan((*fresh2)->coarse->plan, (*epoch2)->coarse->plan);
+  ExpectSameViews((*fresh2)->coarse->views, (*epoch2)->coarse->views);
+}
+
+/// Calls `touch` from `threads` threads released together; returns what each
+/// one got.
+std::vector<const serve::CoarseGraphEntry*> TouchConcurrently(
+    int threads, const std::function<const serve::CoarseGraphEntry*()>& touch) {
+  std::atomic<bool> go{false};
+  std::vector<const serve::CoarseGraphEntry*> seen(
+      static_cast<size_t>(threads), nullptr);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      seen[static_cast<size_t>(t)] = touch();
+    });
+  }
+  go.store(true);
+  for (std::thread& worker : workers) worker.join();
+  return seen;
+}
+
+TEST(LazyCompanionTest, ConcurrentFirstUsesBuildOnce) {
+  constexpr int kThreads = 8;
+  // The slot on its own, with a counting builder that holds the build open
+  // long enough for every thread to arrive.
+  serve::CoarseCompanion slot;
+  std::atomic<int> builds{0};
+  slot.Defer([&builds] {
+    builds.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return std::unique_ptr<const serve::CoarseGraphEntry>(
+        new serve::CoarseGraphEntry);
+  });
+  const std::vector<const serve::CoarseGraphEntry*> from_slot =
+      TouchConcurrently(kThreads, [&slot] { return slot.get(); });
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_TRUE(slot.built());
+  ASSERT_NE(from_slot[0], nullptr);
+  for (const serve::CoarseGraphEntry* p : from_slot) {
+    EXPECT_EQ(p, from_slot[0]);
+  }
+
+  // A registered entry, touched through its handle.
+  const CoarseFixture f = CoarseFixture::Make(600, 3, 161);
+  serve::GraphRegistry registry;
+  auto entry = registry.Register("g", f.mvag);
+  ASSERT_TRUE(entry.ok());
+  ASSERT_FALSE((*entry)->coarse.built());
+  const std::vector<const serve::CoarseGraphEntry*> from_entry =
+      TouchConcurrently(kThreads, [&entry] { return (*entry)->coarse.get(); });
+  ASSERT_NE(from_entry[0], nullptr);
+  for (const serve::CoarseGraphEntry* p : from_entry) {
+    EXPECT_EQ(p, from_entry[0]);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@
 // --quality fast covers the coarse serving tier: the dump adds the coarse
 // plan fingerprint (matching + contracted views) and the engine solves run
 // at Quality::kFast, so the determinism matrix also proves coarsening and
-// the coarse-solve path are bit-stable across threads/shards/ISAs.
+// the coarse-solve path are bit-stable across threads/shards/ISAs. It also
+// fingerprints the companion built lazily after the mask -> unmask epochs,
+// so the matrix covers a first build on an epoch that updates published.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -58,6 +60,17 @@ uint64_t HashCsr(const la::CsrMatrix& m) {
   uint64_t hash = Fnv1a(m.row_ptr.data(), m.row_ptr.size() * sizeof(int64_t));
   hash = Fnv1a(m.col_idx.data(), m.col_idx.size() * sizeof(int64_t), hash);
   return Fnv1a(m.values.data(), m.values.size() * sizeof(double), hash);
+}
+
+// The plan fingerprint and contracted-view hashes of a coarse companion,
+// each line prefixed with `label`.
+void PrintCoarse(const char* label, const serve::CoarseGraphEntry& coarse) {
+  std::printf("%s rows=%" PRId64 " map=%016" PRIx64 "\n", label,
+              coarse.plan.coarse_rows, HashVector(coarse.plan.fine_to_coarse));
+  for (size_t v = 0; v < coarse.views.size(); ++v) {
+    std::printf("%s view[%zu] hash=%016" PRIx64 "\n", label, v,
+                HashCsr(coarse.views[v]));
+  }
 }
 
 uint64_t DoubleBits(double x) {
@@ -107,13 +120,7 @@ int Run(int shards, serve::Quality quality) {
       std::fprintf(stderr, "fast dump requested but no coarse companion\n");
       return 1;
     }
-    std::printf("coarse rows=%" PRId64 " map=%016" PRIx64 "\n",
-                coarse->plan.coarse_rows,
-                HashVector(coarse->plan.fine_to_coarse));
-    for (size_t v = 0; v < coarse->views.size(); ++v) {
-      std::printf("coarse view[%zu] hash=%016" PRIx64 "\n", v,
-                  HashCsr(coarse->views[v]));
-    }
+    PrintCoarse("coarse", *coarse);
   }
 
   // Objective evaluations at fixed weights, through the registered entry's
@@ -220,6 +227,15 @@ int Run(int shards, serve::Quality quality) {
       std::fprintf(stderr, "unmask delta failed: %s\n",
                    unmasked.status().ToString().c_str());
       return 1;
+    }
+    // Lifecycle epochs leave the companion unbuilt; this dereference is its
+    // first build, from the unmasked epoch's own state.
+    if (quality != serve::Quality::kExact) {
+      if ((*unmasked)->coarse == nullptr) {
+        std::fprintf(stderr, "unmasked epoch has no coarse companion\n");
+        return 1;
+      }
+      PrintCoarse("unmasked coarse", *(*unmasked)->coarse);
     }
     serve::SolveRequest request;
     request.graph_id = "bitdump";
