@@ -322,6 +322,34 @@ void BM_SellSpmvIsa(benchmark::State& state, la::simd::Isa isa) {
   state.SetItemsProcessed(state.iterations() * m.nnz());
 }
 
+/// The other row-length regime: the union Laplacian of two dense SBM views,
+/// ~65 nnz/row at n = 8000 (the benchmark workloads' union Laplacians carry
+/// ~66). Long rows are where the vector CSR row kernels win over scalar;
+/// on the ~7 nnz/row IsaFixture they lose. Not gated.
+void BM_SpmvIsaLongRows(benchmark::State& state, la::simd::Isa isa) {
+  static const la::CsrMatrix* union_laplacian = [] {
+    Rng rng(79);
+    const std::vector<int32_t> labels = data::BalancedLabels(8000, 4, &rng);
+    const la::CsrMatrix a = graph::NormalizedLaplacian(
+        data::SbmGraph(labels, 4, 0.013, 0.0012, &rng));
+    const la::CsrMatrix b = graph::NormalizedLaplacian(
+        data::SbmGraph(labels, 4, 0.013, 0.0012, &rng));
+    return new la::CsrMatrix(la::WeightedSum({&a, &b}, {0.5, 0.5}));
+  }();
+  PoolOverride pool(1);
+  IsaOverride pin(isa);
+  const la::CsrMatrix& m = *union_laplacian;
+  la::Vector x(static_cast<size_t>(m.cols), 1.0);
+  la::Vector y(static_cast<size_t>(m.rows));
+  for (auto _ : state) {
+    la::Spmv(m, x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m.nnz());
+  state.counters["nnz_per_row"] =
+      static_cast<double>(m.nnz()) / static_cast<double>(m.rows);
+}
+
 void BM_AggregateIsa(benchmark::State& state, la::simd::Isa isa) {
   const IsaFixture& f = IsaFixture::Get();
   PoolOverride pool(1);
@@ -743,6 +771,8 @@ int main(int argc, char** argv) {
                                  BM_SpmvIsa, isa);
     benchmark::RegisterBenchmark(("BM_SellSpmvIsa/" + suffix).c_str(),
                                  BM_SellSpmvIsa, isa);
+    benchmark::RegisterBenchmark(("BM_SpmvIsaLongRows/" + suffix).c_str(),
+                                 BM_SpmvIsaLongRows, isa);
     benchmark::RegisterBenchmark(("BM_AggregateIsa/" + suffix).c_str(),
                                  BM_AggregateIsa, isa);
     benchmark::RegisterBenchmark(("BM_KMeansIsa/" + suffix).c_str(),

@@ -13,13 +13,6 @@
 namespace sgla {
 namespace cluster {
 
-struct SpectralEmbeddingOptions {
-  /// Spectrum upper bound passed to the Lanczos complement shift; 2 is valid
-  /// for (convex combinations of) normalized Laplacians.
-  double spectrum_upper_bound = 2.0;
-  int lanczos_subspace = 0;  ///< 0 = auto
-};
-
 /// Reusable scratch for SpectralClusteringInto: the embedding eigensolve
 /// buffers and the k-means scratch. One warm workspace makes repeated
 /// clustering calls at a fixed problem size allocation-free except for the
@@ -34,8 +27,7 @@ struct SpectralWorkspace {
 /// Row-normalized matrix of the k smallest Laplacian eigenvectors — the
 /// standard NJW spectral embedding used by both clustering backends.
 Result<la::DenseMatrix> SpectralEmbeddingForClustering(
-    const la::CsrMatrix& laplacian, int k,
-    const SpectralEmbeddingOptions& options = {});
+    const la::CsrMatrix& laplacian, int k);
 
 /// NJW spectral clustering: spectral embedding + k-means.
 Result<std::vector<int32_t>> SpectralClustering(
@@ -43,17 +35,12 @@ Result<std::vector<int32_t>> SpectralClustering(
 
 /// Workspace form of SpectralClustering: bit-identical labels, with all
 /// scratch in `workspace` and the labels assign-reused in `out`.
-Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
-                              const KMeansOptions& kmeans,
-                              SpectralWorkspace* workspace,
-                              std::vector<int32_t>* out);
-
-/// Sharded form: the embedding eigensolve applies the Laplacian one
-/// row-shard SpMV job at a time (row-disjoint writes), and the k-means
-/// assignment pass runs sharded too (see the sharded KMeansInto). Labels
-/// are bit-identical to the unsharded call at any shard and thread count.
-/// `shards` must cover laplacian.rows; null or single-shard contexts take
-/// the unsharded path.
+///
+/// `shards` (null = unsharded) must cover laplacian.rows; the embedding
+/// eigensolve then applies the Laplacian one row-shard SpMV job at a time
+/// (la::CsrSpmvOperator) and the k-means assignment pass runs sharded too
+/// (see the sharded KMeansInto). Labels are bit-identical to the unsharded
+/// call at any shard and thread count.
 ///
 /// The trailing out/in params serve the engine's warm-start bank:
 /// `warm_start` seeds the embedding eigensolve with banked eigenvectors of a
@@ -66,7 +53,7 @@ Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
                               const KMeansOptions& kmeans,
                               SpectralWorkspace* workspace,
                               std::vector<int32_t>* out,
-                              const util::ShardContext* shards,
+                              const util::ShardContext* shards = nullptr,
                               const la::DenseMatrix* warm_start = nullptr,
                               la::DenseMatrix* ritz_out = nullptr,
                               la::LanczosStats* stats = nullptr);

@@ -5,23 +5,6 @@
 
 namespace sgla {
 namespace core {
-namespace {
-
-/// la::SpmvOperator context for the objective's eigensolve: each application
-/// runs one SELL SpMV job per shard of the aggregator's row partition.
-struct ShardedSell {
-  util::ShardContext shards;
-  const la::SellMatrix* sell;
-};
-
-void ShardedSellApply(const void* ctx, const double* x, double* y) {
-  const ShardedSell& bound = *static_cast<const ShardedSell*>(ctx);
-  bound.shards.Run([&bound, x, y](int, int64_t lo, int64_t hi) {
-    la::SellSpmvRows(*bound.sell, x, y, lo, hi);
-  });
-}
-
-}  // namespace
 
 SpectralObjective::SpectralObjective(const std::vector<la::CsrMatrix>* views,
                                      int k, const ObjectiveOptions& options)
@@ -73,27 +56,17 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
   // solves) silently cold instead of erroring.
   lanczos.warm_start = options_.warm_start;
   la::LanczosStats stats;
-  Status solved;
   const bool dense = la::UsesDenseFallback(aggregator_->pattern().rows, k_ + 1);
   AggregateIntoWorkspace(weights, /*with_sell=*/!dense);
-  if (dense) {
-    solved = la::SmallestEigenpairsInto(workspace_->aggregate, k_ + 1, 2.0,
-                                        lanczos, &workspace_->lanczos,
-                                        &workspace_->eigen, &stats);
-  } else {
-    // Lanczos-sized problem: route mat-vecs through the SELL form of the
-    // aggregate (scalar-bit-identical to the CSR form; see la/sparse.h),
-    // one job per shard. Everything else in the iteration (dots, panels,
-    // Rayleigh-Ritz) runs on the caller over full-length vectors.
-    ShardedSell sharded{aggregator_->context(), &workspace_->sell};
-    la::SpmvOperator op;
-    op.rows = workspace_->sell.rows;
-    op.apply = &ShardedSellApply;
-    op.ctx = &sharded;
-    solved = la::SmallestEigenpairsInto(op, k_ + 1, 2.0, lanczos,
-                                        &workspace_->lanczos,
-                                        &workspace_->eigen, &stats);
-  }
+  // Lanczos-sized problems route mat-vecs through the SELL form of the
+  // aggregate (scalar-bit-identical to the CSR form; see la/sparse.h), one
+  // job per shard of the aggregator's row partition; tiny ones densify the
+  // CSR form.
+  const util::ShardContext shards = aggregator_->context();
+  const Status solved = la::SmallestEigenpairsInto(
+      dense ? la::CsrSpmvOperator(workspace_->aggregate)
+            : la::SellSpmvOperator(workspace_->sell, &shards),
+      k_ + 1, 2.0, lanczos, &workspace_->lanczos, &workspace_->eigen, &stats);
   if (!solved.ok()) return solved;
   ++evaluations_;
   lanczos_iterations_ += stats.iterations;

@@ -5,6 +5,7 @@
 
 #include "la/simd.h"
 #include "util/rng.h"
+#include "util/sharding.h"
 #include "util/thread_pool.h"
 
 namespace sgla {
@@ -18,6 +19,24 @@ constexpr int64_t kDenseFallbackThreshold = 96;
 /// the solve (reorthogonalization dots) are chunked at kOrthoGrain instead
 /// and merged in chunk-index order (see Reorthogonalize).
 constexpr int64_t kElementGrain = 8192;
+
+/// y = M x for the operator's matrix: one row-range SpMV over all rows, or
+/// one per shard. The row kernels write each row from its own dot product,
+/// so any row partition gives the same bits.
+void Apply(const SpmvOperator& op, const double* x, double* y) {
+  const auto rows = [&op, x, y](int64_t lo, int64_t hi) {
+    if (op.csr != nullptr) {
+      SpmvRows(*op.csr, x, y, lo, hi);
+    } else {
+      SellSpmvRows(*op.sell, x, y, lo, hi);
+    }
+  };
+  if (op.shards == nullptr) {
+    rows(0, op.rows());
+  } else {
+    op.shards->Run([&rows](int, int64_t lo, int64_t hi) { rows(lo, hi); });
+  }
+}
 
 /// Projects x (length n) onto the orthogonal complement of Q = the locked
 /// bank rows [0, num_locked) followed by the basis rows [0, upto): block
@@ -119,7 +138,7 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
                     int num_locked, int pass_base, const double* seed,
                     double early_exit_tolerance, int early_want, Rng* rng,
                     LanczosWorkspace* ws, int* built_out) {
-  const int64_t n = matrix.rows;
+  const int64_t n = matrix.rows();
   if (built_out != nullptr) *built_out = 0;
 
   DenseMatrix& basis = ws->basis;  // row-per-basis-vector, contiguous axpys
@@ -185,7 +204,7 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
     // w = B v_j = sigma v_j - M v_j. The sigma_sub kernel is element-wise
     // (separate multiply and subtract roundings in every ISA variant), so
     // this combine is bit-identical across ISA paths and chunkings.
-    matrix.apply(matrix.ctx, basis.Row(j), w.data());
+    Apply(matrix, basis.Row(j), w.data());
     const double* vj = basis.Row(j);
     const simd::KernelTable* table = simd::ActiveTable();
     const auto combine = [sigma, vj, &w, table](int64_t lo, int64_t hi) {
@@ -286,7 +305,7 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
     double* assembled = ws->bank.Row(pass_base + produced);
     if (assembled != candidate) std::copy(candidate, candidate + n, assembled);
     Scale(1.0 / vnorm, assembled, n);
-    matrix.apply(matrix.ctx, assembled, mv.data());
+    Apply(matrix, assembled, mv.data());
     Axpy(-value, assembled, mv.data(), n);
     ws->bank_value[static_cast<size_t>(pass_base + produced)] = value;
     ws->bank_residual[static_cast<size_t>(pass_base + produced)] =
@@ -296,29 +315,21 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
   return produced;
 }
 
-void CsrApply(const void* ctx, const double* x, double* y) {
-  Spmv(*static_cast<const CsrMatrix*>(ctx), x, y);
-}
-
-void SellApply(const void* ctx, const double* x, double* y) {
-  SellSpmv(*static_cast<const SellMatrix*>(ctx), x, y);
-}
-
 }  // namespace
 
-SpmvOperator CsrSpmvOperator(const CsrMatrix& m) {
+SpmvOperator CsrSpmvOperator(const CsrMatrix& m,
+                             const util::ShardContext* shards) {
   SpmvOperator op;
-  op.rows = m.rows;
-  op.apply = &CsrApply;
-  op.ctx = &m;
+  op.csr = &m;
+  op.shards = shards;
   return op;
 }
 
-SpmvOperator SellSpmvOperator(const SellMatrix& m) {
+SpmvOperator SellSpmvOperator(const SellMatrix& m,
+                              const util::ShardContext* shards) {
   SpmvOperator op;
-  op.rows = m.rows;
-  op.apply = &SellApply;
-  op.ctx = &m;
+  op.sell = &m;
+  op.shards = shards;
   return op;
 }
 
@@ -342,14 +353,6 @@ Status SmallestEigenpairsInto(const CsrMatrix& matrix, int k,
                               const LanczosOptions& options,
                               LanczosWorkspace* ws, Eigenpairs* out,
                               LanczosStats* stats) {
-  const int64_t n = matrix.rows;
-  if (matrix.cols != n) return InvalidArgument("matrix must be square");
-  if (k <= 0) return InvalidArgument("k must be positive");
-  if (k > n) return InvalidArgument("k exceeds matrix dimension");
-  if (UsesDenseFallback(n, k)) {
-    if (stats != nullptr) *stats = LanczosStats();
-    return DenseSmallestInto(matrix, k, ws, out);
-  }
   return SmallestEigenpairsInto(CsrSpmvOperator(matrix), k,
                                 spectrum_upper_bound, options, ws, out, stats);
 }
@@ -359,15 +362,25 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
                               const LanczosOptions& options,
                               LanczosWorkspace* ws, Eigenpairs* out,
                               LanczosStats* stats) {
-  const int64_t n = matrix.rows;
+  const int64_t n = matrix.rows();
   if (stats != nullptr) *stats = LanczosStats();
-  if (matrix.apply == nullptr) return InvalidArgument("operator has no apply");
+  if ((matrix.csr == nullptr) == (matrix.sell == nullptr)) {
+    return InvalidArgument("operator must hold exactly one matrix");
+  }
+  const int64_t cols =
+      matrix.csr != nullptr ? matrix.csr->cols : matrix.sell->cols;
+  if (cols != n) return InvalidArgument("matrix must be square");
+  if (matrix.shards != nullptr &&
+      (matrix.shards->num_shards < 1 || matrix.shards->rows() != n)) {
+    return InvalidArgument("shard partition does not cover the matrix");
+  }
   if (k <= 0) return InvalidArgument("k must be positive");
   if (k > n) return InvalidArgument("k exceeds matrix dimension");
   if (UsesDenseFallback(n, k)) {
+    if (matrix.csr != nullptr) return DenseSmallestInto(*matrix.csr, k, ws, out);
     return InvalidArgument(
-        "operator-form Lanczos cannot densify: matrix too small or k too "
-        "close to n (materialize a CsrMatrix for the dense fallback)");
+        "a SELL operator cannot densify: matrix too small or k too close to "
+        "n (solve on the CSR form for the dense fallback)");
   }
 
   const double sigma = spectrum_upper_bound;

@@ -10,6 +10,10 @@
 #include "util/status.h"
 
 namespace sgla {
+namespace util {
+struct ShardContext;
+}  // namespace util
+
 namespace la {
 
 /// Elements per chunk of the Lanczos reorthogonalization and Ritz assembly
@@ -83,31 +87,42 @@ struct LanczosWorkspace {
   Vector ortho_coef;
 };
 
-/// Matrix-free symmetric operator: apply(ctx, x, y) must overwrite all
-/// `rows` entries of y with M x (x is full-length, size rows) and must be
-/// deterministic — the Lanczos trajectory reproduces bit for bit only if
-/// every application does. CSR matrices wrap themselves via
-/// CsrSpmvOperator(); the sharded serving path implements apply by running
-/// one row-shard SpMV job per shard on a TaskQueue (row-disjoint writes, so
-/// the result equals the unsharded SpMV exactly).
+/// The symmetric matrix every Lanczos solve multiplies by: a CSR or a
+/// SELL-C-σ matrix (non-owning; exactly one is set), optionally applied one
+/// row-shard job at a time. Build it with CsrSpmvOperator or
+/// SellSpmvOperator. Each application overwrites all rows of y with M x;
+/// with `shards` set it runs one SpmvRows / SellSpmvRows job per shard
+/// through shards->Run (row-disjoint writes), otherwise one whole-matrix
+/// call that chunks through the global ThreadPool. Every row's dot product
+/// is the same row kernel either way, so the sharded application equals
+/// the unsharded one bit for bit at any shard and thread count.
 struct SpmvOperator {
-  int64_t rows = 0;
-  void (*apply)(const void* ctx, const double* x, double* y) = nullptr;
-  const void* ctx = nullptr;
+  const CsrMatrix* csr = nullptr;
+  const SellMatrix* sell = nullptr;
+  /// Null = unsharded. A non-null context must cover the matrix rows with
+  /// at least one shard (a default ShardContext runs no job at all).
+  const util::ShardContext* shards = nullptr;
+
+  int64_t rows() const {
+    return csr != nullptr ? csr->rows : sell != nullptr ? sell->rows : 0;
+  }
 };
 
-/// Wraps `m` (which must outlive the operator) for the operator-form solver.
-SpmvOperator CsrSpmvOperator(const CsrMatrix& m);
+/// Operator over `m`; `m` and `shards` must outlive the operator.
+SpmvOperator CsrSpmvOperator(const CsrMatrix& m,
+                             const util::ShardContext* shards = nullptr);
 
-/// Wraps a SELL-C-σ matrix (see la::SellMatrix) the same way. Under
-/// SGLA_ISA=scalar the application is bit-identical to CsrSpmvOperator on
-/// the source CSR; vector ISAs run the padded slice kernel.
-SpmvOperator SellSpmvOperator(const SellMatrix& m);
+/// Operator over a SELL-C-σ matrix (see la::SellMatrix). Under
+/// SGLA_ISA=scalar its application is bit-identical to CsrSpmvOperator on
+/// the source CSR; vector ISAs run the padded slice kernel. Shard
+/// boundaries must be multiples of kSellSortWindow (util::kShardAlign).
+SpmvOperator SellSpmvOperator(const SellMatrix& m,
+                              const util::ShardContext* shards = nullptr);
 
-/// True when the CSR form below takes the dense Jacobi fallback (tiny matrix
-/// or nearly full spectrum requested) instead of running Lanczos. The
-/// operator form cannot densify a matrix-free operator and rejects such
-/// inputs; callers that might hit the fallback sizes must materialize a CSR.
+/// True when a solve takes the dense Jacobi fallback (tiny matrix or nearly
+/// full spectrum requested) instead of running Lanczos. Only a CSR operator
+/// can densify; a SELL operator rejects such inputs, so callers that might
+/// hit the fallback sizes must solve on the CSR form.
 bool UsesDenseFallback(int64_t n, int k);
 
 /// The k algebraically smallest eigenpairs of a symmetric matrix, via Lanczos
@@ -121,18 +136,19 @@ Result<Eigenpairs> SmallestEigenpairs(const CsrMatrix& matrix, int k,
 
 /// Workspace form of SmallestEigenpairs: bit-identical results, but all
 /// scratch lives in `workspace` and the outputs reuse `out`'s buffers, so
-/// steady-state calls at a fixed problem size are allocation-free. The
-/// convenience overload above is a thin wrapper over this.
+/// steady-state calls at a fixed problem size are allocation-free. Same as
+/// the operator form on CsrSpmvOperator(matrix).
 Status SmallestEigenpairsInto(const CsrMatrix& matrix, int k,
                               double spectrum_upper_bound,
                               const LanczosOptions& options,
                               LanczosWorkspace* workspace, Eigenpairs* out,
                               LanczosStats* stats = nullptr);
 
-/// Operator form: identical Lanczos iteration with every matrix application
-/// routed through `op` — the CSR form above delegates here outside its dense
-/// fallback, so a CSR wrapped in CsrSpmvOperator produces the same bits.
-/// Fails with InvalidArgument when UsesDenseFallback(op.rows, k).
+/// Operator form, which every solve runs through: the Lanczos iteration
+/// applies `op` for every mat-vec; everything else (dots, panels,
+/// Rayleigh-Ritz) runs on the caller over full-length vectors. A CSR
+/// operator at dense-fallback sizes densifies its matrix (shards unused);
+/// a SELL operator there fails with InvalidArgument.
 Status SmallestEigenpairsInto(const SpmvOperator& op, int k,
                               double spectrum_upper_bound,
                               const LanczosOptions& options,

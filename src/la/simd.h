@@ -13,9 +13,9 @@ namespace simd {
 /// The ISA paths the dispatcher knows about. Order encodes preference:
 /// auto-detection picks the highest value that is both compiled in and
 /// supported by the host.
-enum class Isa { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
+enum class Isa { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// Lowercase token of an ISA ("scalar", "neon", "avx2", "avx512") — the
+/// Lowercase token of an ISA ("scalar", "avx2", "avx512") — the
 /// exact spelling SGLA_ISA accepts.
 const char* IsaName(Isa isa);
 

@@ -102,24 +102,23 @@ CsrMatrix FromTriplets(int64_t rows, int64_t cols,
 }
 
 void Spmv(const CsrMatrix& m, const double* x, double* y) {
-  // Each chunk hands its row range to the active ISA's row kernel; every
-  // row's dot product is self-contained, so any row partition — threads,
-  // shards, or both — reproduces the same bits within one ISA path.
-  const simd::KernelTable* table = simd::ActiveTable();
-  util::ThreadPool::Global().ParallelFor(
-      0, m.rows, kSpmvGrain, [&m, x, y, table](int64_t lo, int64_t hi) {
-        table->spmv_rows(m.row_ptr.data(), m.col_idx.data(), m.values.data(),
-                         x, y + lo, lo, hi);
-      });
+  SpmvRows(m, x, y, 0, m.rows);
 }
 
 void SpmvRows(const CsrMatrix& m, const double* x, double* y,
               int64_t row_begin, int64_t row_end) {
   SGLA_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= m.rows)
       << "SpmvRows range out of bounds";
-  simd::ActiveTable()->spmv_rows(m.row_ptr.data(), m.col_idx.data(),
-                                 m.values.data(), x, y + row_begin, row_begin,
-                                 row_end);
+  // Each chunk hands its row range to the active ISA's row kernel; every
+  // row's dot product is self-contained, so any row partition — threads,
+  // shards, or both — reproduces the same bits within one ISA path.
+  const simd::KernelTable* table = simd::ActiveTable();
+  util::ThreadPool::Global().ParallelFor(
+      row_begin, row_end, kSpmvGrain,
+      [&m, x, y, table](int64_t lo, int64_t hi) {
+        table->spmv_rows(m.row_ptr.data(), m.col_idx.data(), m.values.data(),
+                         x, y + lo, lo, hi);
+      });
 }
 
 void BuildSellPattern(const CsrMatrix& m, SellMatrix* out) {

@@ -98,10 +98,10 @@ CsrMatrix FromTriplets(int64_t rows, int64_t cols, std::vector<Triplet> entries)
 /// y = M * x. x has m.cols entries, y has m.rows entries (overwritten).
 void Spmv(const CsrMatrix& m, const double* x, double* y);
 
-/// y[r] = (M x)[r] for r in [row_begin, row_end) only — the same serial
-/// inner loop as Spmv, restricted to a row range and never dispatching to
-/// the pool. Shard jobs call this on their row slice of a shared matrix;
-/// because each row's dot product is unchanged, any row partition of calls
+/// y[r] = (M x)[r] for r in [row_begin, row_end) only; Spmv is the
+/// whole-matrix case. Chunks through the global ThreadPool like
+/// SellSpmvRows (inline inside shard jobs). Each row's dot product is the
+/// same row kernel at any chunking, so any row partition of calls
 /// reproduces Spmv bit for bit.
 void SpmvRows(const CsrMatrix& m, const double* x, double* y,
               int64_t row_begin, int64_t row_end);

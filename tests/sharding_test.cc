@@ -1,6 +1,7 @@
 // Row-sharding tests: ShardPlan boundary rules (chunk alignment, coverage,
-// clamping, ragged tails), SpmvRows identities, K-shard vs one-shard
-// aggregator bit-identity, and end-to-end bit-identity of the sharded solve
+// clamping, ragged tails), SpmvRows identities, sharded vs unsharded
+// Lanczos SpMV operators per ISA, K-shard vs one-shard aggregator
+// bit-identity, and end-to-end bit-identity of the sharded solve
 // path (Sgla, SglaPlus, spectral clustering, engine responses) against the
 // one-shard path at K = 1, 2, 5 shards and SGLA_THREADS = 1, 4 — including
 // an n not divisible by K (ragged final shard) — plus a seeded-random
@@ -104,6 +105,86 @@ TEST(ShardingTest, SpmvRowsMatchFullSpmv) {
                  plan.shard_end(s));
   }
   EXPECT_EQ(sharded, reference);
+}
+
+void ExpectEigenpairsEq(const la::Eigenpairs& got, const la::Eigenpairs& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.values, want.values) << where;
+  EXPECT_EQ(got.vectors.data(), want.vectors.data()) << where;
+}
+
+/// The one SpMV operator, sharded and unsharded: for every available ISA at
+/// 1 and 4 pool threads, a CSR operator over a 1-, 3- or 4-shard partition
+/// (shards run serially on the caller, or as TaskQueue jobs) yields the
+/// eigenpairs of the plain CSR solve bit for bit, and a sharded SELL
+/// operator those of the unsharded SELL operator. Under scalar, SELL equals
+/// CSR too. The solve's bits do not depend on the thread count either.
+TEST(LanczosTest, OperatorFormsBitIdenticalAcrossShards) {
+  const auto views = MakeViews(2570, 4, 17);  // ragged final shard
+  const la::CsrMatrix m = la::WeightedSum({&views[0], &views[1]}, {0.4, 0.6});
+  la::SellMatrix sell;
+  la::BuildSellPattern(m, &sell);
+  const int k = 5;
+  auto queue = std::make_shared<util::TaskQueue>(4);
+
+  const auto solve = [k](const la::SpmvOperator& op, la::Eigenpairs* out) {
+    la::LanczosWorkspace ws;
+    const Status status =
+        la::SmallestEigenpairsInto(op, k, 2.0, la::LanczosOptions(), &ws, out);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  };
+
+  ThreadCountGuard guard;
+  const la::simd::Isa previous = la::simd::ActiveIsa();
+  for (la::simd::Isa isa : la::simd::AvailableIsas()) {
+    ASSERT_TRUE(la::simd::SetActiveForTesting(isa));
+    const std::string name = la::simd::IsaName(isa);
+    la::Eigenpairs csr_t1;
+    for (int threads : {1, 4}) {
+      util::ThreadPool::SetGlobalThreads(threads);
+      const std::string at = name + " threads=" + std::to_string(threads);
+      la::Eigenpairs csr_ref;
+      la::LanczosWorkspace ws;
+      ASSERT_TRUE(la::SmallestEigenpairsInto(m, k, 2.0, la::LanczosOptions(),
+                                             &ws, &csr_ref)
+                      .ok());
+      if (threads == 1) {
+        csr_t1 = csr_ref;
+      } else {
+        ExpectEigenpairsEq(csr_ref, csr_t1, at + " csr vs threads=1");
+      }
+      la::Eigenpairs sell_ref;
+      solve(la::SellSpmvOperator(sell), &sell_ref);
+      if (isa == la::simd::Isa::kScalar) {
+        ExpectEigenpairsEq(sell_ref, csr_ref, at + " sell vs csr");
+      }
+      for (int shards : {1, 3, 4}) {
+        const serve::ShardPlan plan = serve::MakeShardPlan(m.rows, shards);
+        ASSERT_EQ(plan.num_shards(), shards);
+        for (util::TaskQueue* q : {static_cast<util::TaskQueue*>(nullptr),
+                                   queue.get()}) {
+          const util::ShardContext ctx = plan.Context(q);
+          const std::string where = at + " shards=" + std::to_string(shards) +
+                                    (q == nullptr ? " serial" : " queue");
+          la::Eigenpairs got;
+          solve(la::CsrSpmvOperator(m, &ctx), &got);
+          ExpectEigenpairsEq(got, csr_ref, where + " csr");
+          solve(la::SellSpmvOperator(sell, &ctx), &got);
+          ExpectEigenpairsEq(got, sell_ref, where + " sell");
+        }
+      }
+    }
+  }
+  la::simd::SetActiveForTesting(previous);
+
+  // Unsharded is a null context; an empty one would run no SpMV job at all,
+  // so the solver rejects it instead of iterating on stale vectors.
+  const util::ShardContext empty;
+  la::LanczosWorkspace ws;
+  la::Eigenpairs out;
+  EXPECT_FALSE(la::SmallestEigenpairsInto(la::CsrSpmvOperator(m, &empty), k,
+                                          2.0, la::LanczosOptions(), &ws, &out)
+                   .ok());
 }
 
 TEST(ShardingTest, MultiShardAggregatorBitIdenticalToOneShard) {
