@@ -619,6 +619,65 @@ BENCHMARK(BM_CoarsenGraphConstantDegree)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The graph views of the wall-clock benchmark's fixtures (perfbench/):
+// update_stream's SBM densities at n=8000 (4 clusters), solve_exact's at
+// n=16000 (5 clusters).
+std::vector<graph::Graph> WorkloadSbmViews(int64_t n) {
+  const bool update_stream = n <= 8000;
+  const int clusters = update_stream ? 4 : 5;
+  const std::vector<std::pair<double, double>> densities =
+      update_stream
+          ? std::vector<std::pair<double, double>>{{0.008, 0.0012},
+                                                   {0.005, 0.0015}}
+          : std::vector<std::pair<double, double>>{{0.005, 0.0008},
+                                                   {0.0035, 0.001}};
+  Rng rng(83);
+  const std::vector<int32_t> labels = data::BalancedLabels(n, clusters, &rng);
+  std::vector<graph::Graph> views;
+  for (const auto& [p_in, p_out] : densities) {
+    views.push_back(data::SbmGraph(labels, clusters, p_in, p_out, &rng));
+  }
+  return views;
+}
+
+// Direct-CSR build of every SBM view's normalized Laplacian: what
+// registration, recovery and each affected view of an update pay per graph
+// view. Wall time (the row passes run on the pool). Informational: not in
+// the perf gate's baseline.
+void BM_NormalizedLaplacian(benchmark::State& state) {
+  const std::vector<graph::Graph> graphs = WorkloadSbmViews(state.range(0));
+  for (auto _ : state) {
+    for (const graph::Graph& g : graphs) {
+      la::CsrMatrix l = graph::NormalizedLaplacian(g);
+      benchmark::DoNotOptimize(l.values.data());
+    }
+  }
+}
+BENCHMARK(BM_NormalizedLaplacian)
+    ->Arg(8000)
+    ->Arg(16000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// Union pattern + scatter maps + SELL form over the same views: what every
+// registration, recovery and pattern-changing update pays. Wall time.
+// Informational: not in the perf gate's baseline.
+void BM_AggregatorBuild(benchmark::State& state) {
+  std::vector<la::CsrMatrix> views;
+  for (const graph::Graph& g : WorkloadSbmViews(state.range(0))) {
+    views.push_back(graph::NormalizedLaplacian(g));
+  }
+  for (auto _ : state) {
+    core::LaplacianAggregator aggregator(&views);
+    benchmark::DoNotOptimize(aggregator.pattern().col_idx.data());
+  }
+}
+BENCHMARK(BM_AggregatorBuild)
+    ->Arg(8000)
+    ->Arg(16000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Steady-state incremental updates: a value-only delta (weight nudges on
 // existing edges) absorbed by UpdateGraph's copy-on-write epoch swap. The
 // epoch build allocates by design (new entry + donor aggregator); recorded

@@ -13,8 +13,10 @@ Flags (combinable, e.g. `--asan --bench-smoke`):
   --ubsan        UndefinedBehaviorSanitizer build in build-ubsan/
                  (findings abort: -fno-sanitize-recover=undefined)
   --bench-smoke  skip ctest; run the Engine microbenches at a tiny time
-                 budget and write BENCH_engine.json (per-kernel ns +
-                 allocs_per_iter; the steady-state benches must report 0)
+                 budget, five randomly interleaved repetitions each, and
+                 write BENCH_engine.json (per-kernel ns + allocs_per_iter;
+                 the steady-state benches must report 0; perf_gate.py times
+                 the medians)
   --rpc-load     skip ctest; run the closed-loop RPC load generator at a
                  small fixed budget and write BENCH_rpc.json (p50/p95/p99
                  latency; gated by scripts/perf_gate.py --latency)
@@ -115,12 +117,18 @@ cmake --build "${build_dir}" -j "${jobs}"
 if [[ "${bench_smoke}" == "1" ]]; then
   # Perf-trajectory smoke: run the engine-layer microbenches at a tiny time
   # budget and archive per-kernel ns + allocation counts (the steady-state
-  # objective benches must report allocs_per_iter == 0). The JSON is
-  # machine-readable google-benchmark output; future PRs diff it.
+  # objective benches must report allocs_per_iter == 0). Five repetitions:
+  # perf_gate.py times each bench by their median, since one 0.05 s run
+  # flips between OK and REGRESSION on a shared host. Interleaving spreads
+  # each bench's repetitions over the whole run, so one slow phase of the
+  # host cannot fill all five. The JSON is machine-readable
+  # google-benchmark output; future PRs diff it.
   if [[ -x "${build_dir}/bench_micro_substrates" ]]; then
     "${build_dir}/bench_micro_substrates" \
       --benchmark_filter='Engine|Isa|Coarsen' \
       --benchmark_min_time=0.05 \
+      --benchmark_repetitions=5 \
+      --benchmark_enable_random_interleaving=true \
       --benchmark_out=BENCH_engine.json \
       --benchmark_out_format=json
     echo "check.sh: wrote BENCH_engine.json"

@@ -9,14 +9,16 @@ Microbench mode — three checks:
 
 1. **Zero-allocation contract (hard fail).** The steady-state engine benches
    (`BM_EngineObjectiveSteadyState`, `BM_EngineAggregateSteadyState`) must
-   report `allocs_per_iter == 0` in CURRENT. Full-solve and update benches
-   legitimately allocate and are recorded, not gated.
+   report `allocs_per_iter == 0` in CURRENT, on every repetition. Full-solve
+   and update benches legitimately allocate and are recorded, not gated.
 
-2. **Normalized timing ratio gate.** For every *compute-bound* bench present
-   in both files (TIMING_GATED prefixes — the async full-solve benches report
-   microsecond main-thread submit/wait cpu_time while the work runs on pool
-   threads, which is pure scheduler noise; they are printed informationally,
-   never gated), compute ratio = current_cpu_ns / baseline_cpu_ns, then
+2. **Normalized timing ratio gate.** Each bench is timed by its `median`
+   aggregate when the report has one (`scripts/check.sh --bench-smoke` runs
+   five repetitions), else by its single run. For every *compute-bound*
+   bench present in both files (TIMING_GATED prefixes — the async full-solve
+   benches report microsecond main-thread submit/wait cpu_time while the
+   work runs on pool threads, which is pure scheduler noise; they are printed
+   informationally, never gated), compute ratio = current_cpu_ns / baseline_cpu_ns, then
    divide by the **median ratio across the gated benches** — the median
    absorbs machine-speed differences between the baseline machine and the
    runner, so the gate flags benches that regressed *relative to the rest of
@@ -49,8 +51,9 @@ Re-baselining: run `scripts/check.sh --bench-smoke` (microbench) or
 `scripts/check.sh --rpc-load` (latency) — both refuse sanitizer builds —
 or download the BENCH artifact from a trusted CI run, and commit the JSON
 as BENCH_baseline.json / BENCH_rpc_baseline.json. Do this whenever benches
-are added/renamed or an intentional perf trade-off moves the numbers (see
-DESIGN.md, "Perf regression gate").
+are added/renamed or an intentional perf trade-off moves the numbers, on
+the parent's binary: a baseline from a change's own binary absorbs that
+change's regressions (see DESIGN.md, "Perf regression gate").
 """
 
 import json
@@ -80,33 +83,49 @@ TIMING_GATED = (
 
 
 def load_benches(path):
+    """Returns (timed, runs) for a google-benchmark report.
+
+    `runs` maps each bench name to every repetition it reported. `timed` maps
+    it to the entry the timing gate reads: the bench's `median` aggregate
+    when the report has one (a --benchmark_repetitions run), else its single
+    run — one short run alone flips between OK and REGRESSION on a shared
+    host, the median of five does not.
+    """
     with open(path) as f:
         report = json.load(f)
-    benches = {}
+    runs = {}
+    medians = {}
     for bench in report.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") == "median" and bench.get("run_name"):
+                medians[bench["run_name"]] = bench
             continue
         name = bench.get("name", "")
         if name:
-            benches[name] = bench
-    return benches
+            runs.setdefault(name, []).append(bench)
+    timed = {name: reps[-1] for name, reps in runs.items()}
+    timed.update(medians)
+    return timed, runs
 
 
 def microbench_gate(baseline_path, current_path):
-    baseline = load_benches(baseline_path)
-    current = load_benches(current_path)
+    baseline, _ = load_benches(baseline_path)
+    current, current_runs = load_benches(current_path)
     failures = []
     warnings = []
 
-    # 1. Allocation contract.
+    # 1. Allocation contract, on every repetition: a median can hide one
+    #    allocating run.
     alloc_checked = 0
-    for name, bench in sorted(current.items()):
+    for name, reps in sorted(current_runs.items()):
         if not name.startswith(ALLOC_GATED):
             continue
         alloc_checked += 1
-        allocs = bench.get("allocs_per_iter")
-        if allocs is None or allocs > 0:
-            failures.append(f"{name}: allocs_per_iter={allocs} (contract: 0)")
+        for rep, bench in enumerate(reps):
+            allocs = bench.get("allocs_per_iter")
+            if allocs is None or allocs > 0:
+                failures.append(f"{name} (repetition {rep}): "
+                                f"allocs_per_iter={allocs} (contract: 0)")
     if alloc_checked == 0:
         failures.append("no steady-state engine benches found in current run")
 

@@ -17,6 +17,49 @@ uint64_t NextPatternId() {
   return ++counter;
 }
 
+/// Row-wise k-way merge of the views' sorted column lists, rows ascending
+/// and columns ascending within a row. For every union slot it calls
+/// hit(v, p) for each view entry p in that column, in ascending view order,
+/// then emit(row, col). Each view's cursor keeps its current column as
+/// `head` (INT64_MAX once the row is exhausted), so a step is one min over
+/// the heads plus one compare per view.
+template <typename Hit, typename Emit>
+void MergeRows(const std::vector<la::CsrMatrix>& views, Hit&& hit,
+               Emit&& emit) {
+  struct Cursor {
+    const int64_t* row_ptr;
+    const int64_t* col_idx;
+    int64_t pos;
+    int64_t end;
+    int64_t head;
+  };
+  std::vector<Cursor> cursors(views.size());
+  for (size_t v = 0; v < views.size(); ++v) {
+    cursors[v].row_ptr = views[v].row_ptr.data();
+    cursors[v].col_idx = views[v].col_idx.data();
+  }
+  for (int64_t r = 0; r < views[0].rows; ++r) {
+    for (Cursor& c : cursors) {
+      c.pos = c.row_ptr[r];
+      c.end = c.row_ptr[r + 1];
+      c.head = c.pos < c.end ? c.col_idx[c.pos] : INT64_MAX;
+    }
+    while (true) {
+      int64_t next_col = INT64_MAX;
+      for (const Cursor& c : cursors) next_col = std::min(next_col, c.head);
+      if (next_col == INT64_MAX) break;
+      for (size_t v = 0; v < cursors.size(); ++v) {
+        Cursor& c = cursors[v];
+        if (c.head != next_col) continue;
+        hit(v, c.pos);
+        ++c.pos;
+        c.head = c.pos < c.end ? c.col_idx[c.pos] : INT64_MAX;
+      }
+      emit(r, next_col);
+    }
+  }
+}
+
 }  // namespace
 
 LaplacianAggregator::LaplacianAggregator(
@@ -56,33 +99,19 @@ LaplacianAggregator::LaplacianAggregator(
   for (size_t v = 0; v < views->size(); ++v) {
     scatter_[v].resize(static_cast<size_t>((*views)[v].nnz()));
   }
-  std::vector<int64_t> cursor(views->size());
+  MergeRows(
+      *views,
+      [this](size_t v, int64_t p) {
+        scatter_[v][static_cast<size_t>(p)] =
+            static_cast<int64_t>(aggregate_.col_idx.size());
+      },
+      [this](int64_t r, int64_t col) {
+        aggregate_.col_idx.push_back(col);
+        ++aggregate_.row_ptr[static_cast<size_t>(r) + 1];
+      });
   for (int64_t r = 0; r < rows; ++r) {
-    for (size_t v = 0; v < views->size(); ++v) {
-      cursor[v] = (*views)[v].row_ptr[static_cast<size_t>(r)];
-    }
-    while (true) {
-      int64_t next_col = INT64_MAX;
-      for (size_t v = 0; v < views->size(); ++v) {
-        if (cursor[v] < (*views)[v].row_ptr[static_cast<size_t>(r) + 1]) {
-          next_col = std::min(
-              next_col, (*views)[v].col_idx[static_cast<size_t>(cursor[v])]);
-        }
-      }
-      if (next_col == INT64_MAX) break;
-      const int64_t slot = static_cast<int64_t>(aggregate_.col_idx.size());
-      for (size_t v = 0; v < views->size(); ++v) {
-        int64_t& p = cursor[v];
-        if (p < (*views)[v].row_ptr[static_cast<size_t>(r) + 1] &&
-            (*views)[v].col_idx[static_cast<size_t>(p)] == next_col) {
-          scatter_[v][static_cast<size_t>(p)] = slot;
-          ++p;
-        }
-      }
-      aggregate_.col_idx.push_back(next_col);
-    }
-    aggregate_.row_ptr[static_cast<size_t>(r) + 1] =
-        static_cast<int64_t>(aggregate_.col_idx.size());
+    aggregate_.row_ptr[static_cast<size_t>(r) + 1] +=
+        aggregate_.row_ptr[static_cast<size_t>(r)];
   }
   aggregate_.values.assign(aggregate_.col_idx.size(), 0.0);
   // The SELL companion of the union pattern, built once per pattern like

@@ -89,6 +89,24 @@ Result<la::CsrMatrix> ContractOneView(const GraphEntry& entry,
   return core::ComputeViewLaplacian(coarse_mvag, 0, knn);
 }
 
+// The graph-view Laplacians of an update epoch build inline on the writing
+// thread (ThreadPool::InlineScope: same chunks, same bits), not on the
+// kernel pool. The pool runs one job at a time, so each parallel pass of a
+// write would stall the kernels of every solve running beside it: on
+// update_stream, pool-parallel builds here made the concurrent warm
+// re-solves 35-145% slower. An attribute view's KNN keeps the pool, as
+// before (inline, it doubled an attribute write). Registration and
+// recovery, which no solve of the graph overlaps, build on the pool.
+Result<la::CsrMatrix> EpochViewLaplacian(const core::MultiViewGraph& mvag,
+                                         size_t view,
+                                         const graph::KnnOptions& knn) {
+  if (view >= mvag.graph_views().size()) {
+    return core::ComputeViewLaplacian(mvag, static_cast<int>(view), knn);
+  }
+  util::ThreadPool::InlineScope inline_build;
+  return core::ComputeViewLaplacian(mvag, static_cast<int>(view), knn);
+}
+
 // Builds the coarse companion for `entry` from scratch, or null when
 // coarsening is off, the graph is too small, or the matching achieved no
 // reduction. The companion is best-effort: a view that fails to contract
@@ -459,8 +477,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
         entry->views[v] = old->views[static_cast<size_t>(from)];
         continue;
       }
-      auto laplacian = core::ComputeViewLaplacian(
-          source->mvag, static_cast<int>(v), source->knn);
+      auto laplacian = EpochViewLaplacian(source->mvag, v, source->knn);
       if (!laplacian.ok()) return laplacian.status();
       entry->views[v] = std::move(*laplacian);
     }
@@ -486,7 +503,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     return published;
   }
 
-  entry->views = old->views;
+  entry->views.resize(old->views.size());
   entry->view_uids = old->view_uids;
   entry->active = old->active;  // all active on this path
   entry->views_signature = old->views_signature;
@@ -508,11 +525,12 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   bool attributes_touched = false;
   const size_t num_graph_views = source->mvag.graph_views().size();
   for (size_t v = 0; v < affected.size(); ++v) {
-    if (!affected[v]) continue;
+    if (!affected[v]) {
+      entry->views[v] = old->views[v];
+      continue;
+    }
     attributes_touched = attributes_touched || v >= num_graph_views;
-    auto laplacian =
-        core::ComputeViewLaplacian(source->mvag, static_cast<int>(v),
-                                   source->knn);
+    auto laplacian = EpochViewLaplacian(source->mvag, v, source->knn);
     // Unreachable after validation; if it ever fires the source may lead the
     // published epoch — evict and re-register to resynchronize.
     if (!laplacian.ok()) return laplacian.status();

@@ -1,8 +1,13 @@
 // NormalizedLaplacian invariants: symmetry, PSD-ness, the D^{1/2}1 null
-// vector, unit diagonal, spectrum within [0, 2]; KNN graph sanity on
-// well-separated blobs.
+// vector, unit diagonal, spectrum within [0, 2]; the direct-CSR build
+// against the triplet build it replaced, bit for bit, at 1 and 4 threads;
+// KNN graph sanity on well-separated blobs.
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <map>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +16,9 @@
 #include "graph/knn.h"
 #include "graph/laplacian.h"
 #include "la/lanczos.h"
+#include "la/sparse.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sgla {
 namespace {
@@ -95,6 +102,180 @@ TEST(LaplacianTest, LargeDisconnectedGraphKeepsEigenvalueMultiplicity) {
   EXPECT_NEAR(eigen->values[0], 0.0, 1e-8);
   EXPECT_NEAR(eigen->values[1], 0.0, 1e-8);
   EXPECT_GT(eigen->values[2], 0.05);
+}
+
+// ---------------------------------------------------------------------------
+// Direct-CSR build vs the triplet build it replaced. TripletAdjacency and
+// TripletLaplacian are copies of the former implementation: symmetrized
+// triplets -> FromTriplets (global sort + coalesce) -> normalize -> negated
+// triplets plus a unit diagonal -> FromTriplets again.
+// ---------------------------------------------------------------------------
+
+la::CsrMatrix TripletAdjacency(const graph::Graph& g) {
+  std::vector<la::Triplet> entries;
+  for (const graph::Edge& e : g.edges()) {
+    if (e.u == e.v) continue;
+    entries.push_back({e.u, e.v, e.weight});
+    entries.push_back({e.v, e.u, e.weight});
+  }
+  la::CsrMatrix a =
+      la::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(entries));
+  std::vector<double> degrees(static_cast<size_t>(g.num_nodes()), 0.0);
+  for (int64_t r = 0; r < a.rows; ++r) {
+    for (int64_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
+      degrees[r] += a.values[p];
+    }
+  }
+  std::vector<double> inv_sqrt(degrees.size(), 0.0);
+  for (size_t i = 0; i < degrees.size(); ++i) {
+    if (degrees[i] > 0.0) inv_sqrt[i] = 1.0 / std::sqrt(degrees[i]);
+  }
+  for (int64_t r = 0; r < a.rows; ++r) {
+    for (int64_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
+      a.values[p] *= inv_sqrt[r] * inv_sqrt[a.col_idx[p]];
+    }
+  }
+  return a;
+}
+
+la::CsrMatrix TripletLaplacian(const graph::Graph& g) {
+  const la::CsrMatrix a = TripletAdjacency(g);
+  std::vector<la::Triplet> entries;
+  for (int64_t r = 0; r < a.rows; ++r) {
+    for (int64_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
+      entries.push_back({r, a.col_idx[p], -a.values[p]});
+    }
+    if (a.row_ptr[r + 1] > a.row_ptr[r]) entries.push_back({r, r, 1.0});
+  }
+  return la::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(entries));
+}
+
+/// The Laplacian with every (row, col) sum defined in edge-list order: each
+/// sum starts at 0.0 and adds its copies as the edge list meets them. For
+/// three or more copies this is the only defined order (the triplet build's
+/// std::sort leaves it unspecified).
+la::CsrMatrix EdgeOrderLaplacian(const graph::Graph& g) {
+  std::map<std::pair<int64_t, int64_t>, double> sums;
+  for (const graph::Edge& e : g.edges()) {
+    if (e.u == e.v) continue;
+    sums.emplace(std::make_pair(e.u, e.v), 0.0).first->second += e.weight;
+    sums.emplace(std::make_pair(e.v, e.u), 0.0).first->second += e.weight;
+  }
+  std::vector<double> degrees(static_cast<size_t>(g.num_nodes()), 0.0);
+  for (const auto& [rc, a] : sums) degrees[rc.first] += a;
+  std::vector<double> inv_sqrt(degrees.size(), 0.0);
+  for (size_t i = 0; i < degrees.size(); ++i) {
+    if (degrees[i] > 0.0) inv_sqrt[i] = 1.0 / std::sqrt(degrees[i]);
+  }
+  std::vector<la::Triplet> entries;
+  std::vector<bool> has_entry(degrees.size(), false);
+  for (const auto& [rc, a] : sums) {
+    entries.push_back(
+        {rc.first, rc.second, -(a * (inv_sqrt[rc.first] * inv_sqrt[rc.second]))});
+    has_entry[rc.first] = true;
+  }
+  for (int64_t i = 0; i < g.num_nodes(); ++i) {
+    if (has_entry[i]) entries.push_back({i, i, 1.0});
+  }
+  // One triplet per (row, col): FromTriplets only orders and adds 0.0.
+  return la::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(entries));
+}
+
+/// A random multigraph on n nodes with ~4 edges per node: ~10% isolated
+/// nodes, self loops, zero weights, one hub (a row longer than the
+/// insertion-sort cutoff), and parallel copies of a pair in either
+/// orientation, at most `max_copies` edges per unordered pair.
+graph::Graph RandomMultigraph(int64_t n, int max_copies, Rng* rng) {
+  std::vector<int64_t> connected;
+  for (int64_t i = 0; i < n; ++i) {
+    if (rng->Uniform() >= 0.1) connected.push_back(i);
+  }
+  graph::Graph g(n);
+  if (connected.empty()) return g;
+  std::map<std::pair<int64_t, int64_t>, int> copies;
+  const auto pick = [&]() {
+    return connected[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(connected.size()) - 1))];
+  };
+  for (int64_t i = 0; i < 4 * n; ++i) {
+    int64_t u = pick();
+    int64_t v = pick();
+    const double roll = rng->Uniform();
+    if (roll < 0.05) {
+      v = u;  // self loop
+    } else if (roll < 0.15) {
+      u = connected.front();  // the hub
+    } else if (roll < 0.35 && g.num_edges() > 0) {
+      // Another copy of an earlier edge, in a random orientation.
+      const graph::Edge& e = g.edges()[static_cast<size_t>(
+          rng->UniformInt(0, g.num_edges() - 1))];
+      u = e.u;
+      v = e.v;
+      if (rng->Uniform() < 0.5) std::swap(u, v);
+    }
+    int& count = copies[{std::min(u, v), std::max(u, v)}];
+    if (u != v && count >= max_copies) continue;
+    ++count;
+    g.AddEdge(u, v, rng->Uniform() < 0.1 ? 0.0 : 0.01 + 2.0 * rng->Uniform());
+  }
+  return g;
+}
+
+/// Same shape, same pattern and the same value bits (memcmp, so -0.0 and
+/// +0.0 differ).
+void ExpectBitIdentical(const la::CsrMatrix& got, const la::CsrMatrix& want) {
+  ASSERT_EQ(got.rows, want.rows);
+  ASSERT_EQ(got.cols, want.cols);
+  ASSERT_EQ(got.row_ptr, want.row_ptr);
+  ASSERT_EQ(got.col_idx, want.col_idx);
+  ASSERT_EQ(got.values.size(), want.values.size());
+  for (size_t p = 0; p < got.values.size(); ++p) {
+    ASSERT_EQ(std::memcmp(&got.values[p], &want.values[p], sizeof(double)), 0)
+        << "entry " << p << ": " << got.values[p] << " vs " << want.values[p];
+  }
+}
+
+class ThreadCountGuard {
+ public:
+  ~ThreadCountGuard() {
+    util::ThreadPool::SetGlobalThreads(util::ThreadPool::DefaultThreads());
+  }
+};
+
+TEST(LaplacianTest, DirectCsrBuildMatchesTripletReference) {
+  ThreadCountGuard guard;
+  for (int threads : {1, 4}) {
+    util::ThreadPool::SetGlobalThreads(threads);
+    for (int64_t n : {1, 97, 2047, 2048, 2049, 6145}) {
+      const uint64_t seed = 9000 + static_cast<uint64_t>(n);
+      SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
+                   std::to_string(threads));
+      Rng rng(seed);
+      const graph::Graph g = RandomMultigraph(n, /*max_copies=*/2, &rng);
+      ExpectBitIdentical(graph::NormalizedLaplacian(g), TripletLaplacian(g));
+      ExpectBitIdentical(graph::NormalizedAdjacency(g), TripletAdjacency(g));
+    }
+  }
+}
+
+TEST(LaplacianTest, ParallelCopiesCoalesceInEdgeListOrder) {
+  // Three or more copies of a pair: the pattern still equals the triplet
+  // build's, and every value is the edge-list-order sum, bit for bit.
+  ThreadCountGuard guard;
+  for (int threads : {1, 4}) {
+    util::ThreadPool::SetGlobalThreads(threads);
+    for (int64_t n : {97, 2049}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
+                   std::to_string(threads));
+      Rng rng(9100 + static_cast<uint64_t>(n));
+      const graph::Graph g = RandomMultigraph(n, /*max_copies=*/6, &rng);
+      const la::CsrMatrix got = graph::NormalizedLaplacian(g);
+      const la::CsrMatrix triplet = TripletLaplacian(g);
+      EXPECT_EQ(got.row_ptr, triplet.row_ptr);
+      EXPECT_EQ(got.col_idx, triplet.col_idx);
+      ExpectBitIdentical(got, EdgeOrderLaplacian(g));
+    }
+  }
 }
 
 TEST(KnnTest, ConnectsWithinBlobsOnSeparatedData) {

@@ -2,6 +2,7 @@
 // ThreadPool itself, aggregator-vs-WeightedSum equivalence on adversarial
 // patterns, bit-identical kernel results across SGLA_THREADS=1,2,8, the
 // k-means exit-path consistency fix, and the unbiased bounded RNG draw.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "la/dense.h"
 #include "la/simd.h"
 #include "la/sparse.h"
+#include "serve/shard_plan.h"
 #include "util/rng.h"
 #include "util/task_queue.h"
 #include "util/thread_pool.h"
@@ -289,6 +291,177 @@ TEST(AggregatorTest, MatchesWeightedSumOnDisjointSupports) {
   for (int64_t p = 0; p < got.nnz(); ++p) {
     EXPECT_DOUBLE_EQ(got.values[static_cast<size_t>(p)],
                      want.values[static_cast<size_t>(p)]);
+  }
+}
+
+/// Random n x n pattern: ~10% empty rows, a few long rows, the rest 1-12
+/// entries; values are 1-based entry indices so a weight-1 aggregate shows
+/// exactly where each entry landed.
+la::CsrMatrix RandomPatternView(int64_t n, Rng* rng) {
+  std::vector<la::Triplet> entries;
+  for (int64_t r = 0; r < n; ++r) {
+    const double roll = rng->Uniform();
+    if (roll < 0.1) continue;
+    const int64_t len = roll < 0.13 ? rng->UniformInt(40, 90)
+                                    : rng->UniformInt(1, 12);
+    for (int64_t j = 0; j < len; ++j) {
+      entries.push_back({r, rng->UniformInt(0, n - 1), 0.0});
+    }
+  }
+  la::CsrMatrix m = la::FromTriplets(n, n, std::move(entries));
+  for (size_t p = 0; p < m.values.size(); ++p) {
+    m.values[p] = static_cast<double>(p + 1);
+  }
+  return m;
+}
+
+/// Copy of the union merge the aggregator used to run: row by row,
+/// a k-way merge of the views' sorted columns, appending each union slot
+/// and recording every view entry's destination slot.
+void SerialUnionMerge(const std::vector<la::CsrMatrix>& views,
+                      la::CsrMatrix* pattern,
+                      std::vector<std::vector<int64_t>>* scatter) {
+  const int64_t rows = views[0].rows;
+  pattern->rows = rows;
+  pattern->cols = views[0].cols;
+  pattern->row_ptr.assign(static_cast<size_t>(rows) + 1, 0);
+  pattern->col_idx.clear();
+  scatter->assign(views.size(), {});
+  for (size_t v = 0; v < views.size(); ++v) {
+    (*scatter)[v].resize(views[v].col_idx.size());
+  }
+  std::vector<int64_t> cursor(views.size());
+  for (int64_t r = 0; r < rows; ++r) {
+    for (size_t v = 0; v < views.size(); ++v) cursor[v] = views[v].row_ptr[r];
+    while (true) {
+      int64_t next_col = INT64_MAX;
+      for (size_t v = 0; v < views.size(); ++v) {
+        if (cursor[v] < views[v].row_ptr[r + 1]) {
+          next_col = std::min(next_col, views[v].col_idx[cursor[v]]);
+        }
+      }
+      if (next_col == INT64_MAX) break;
+      const int64_t slot = static_cast<int64_t>(pattern->col_idx.size());
+      for (size_t v = 0; v < views.size(); ++v) {
+        if (cursor[v] < views[v].row_ptr[r + 1] &&
+            views[v].col_idx[cursor[v]] == next_col) {
+          (*scatter)[v][cursor[v]++] = slot;
+        }
+      }
+      pattern->col_idx.push_back(next_col);
+    }
+    pattern->row_ptr[r + 1] = static_cast<int64_t>(pattern->col_idx.size());
+  }
+  pattern->values.assign(pattern->col_idx.size(), 0.0);
+}
+
+/// Copy of the serial SELL-C-σ pattern build: rows sorted by descending
+/// nnz (ascending index among equals) within each σ window, slices padded
+/// to their longest row, lane-minor storage.
+la::SellMatrix SerialSellPattern(const la::CsrMatrix& m) {
+  la::SellMatrix out;
+  out.rows = m.rows;
+  out.cols = m.cols;
+  const int64_t slices = (m.rows + la::kSellLanes - 1) / la::kSellLanes;
+  const int64_t slots = slices * la::kSellLanes;
+  const auto nnz_of = [&m](int64_t r) { return m.row_ptr[r + 1] - m.row_ptr[r]; };
+  out.perm.assign(static_cast<size_t>(slots), -1);
+  for (int64_t r = 0; r < m.rows; ++r) out.perm[r] = r;
+  for (int64_t lo = 0; lo < m.rows; lo += la::kSellSortWindow) {
+    const int64_t hi = std::min(m.rows, lo + la::kSellSortWindow);
+    std::stable_sort(out.perm.begin() + lo, out.perm.begin() + hi,
+                     [&nnz_of](int64_t a, int64_t b) {
+                       return nnz_of(a) > nnz_of(b);
+                     });
+  }
+  out.row_len.assign(static_cast<size_t>(slots), 0);
+  out.slice_ptr.assign(static_cast<size_t>(slices) + 1, 0);
+  for (int64_t s = 0; s < slices; ++s) {
+    int64_t width = 0;
+    for (int64_t l = 0; l < la::kSellLanes; ++l) {
+      const int64_t row = out.perm[s * la::kSellLanes + l];
+      if (row < 0) continue;
+      out.row_len[s * la::kSellLanes + l] = nnz_of(row);
+      width = std::max(width, nnz_of(row));
+    }
+    out.slice_ptr[s + 1] = out.slice_ptr[s] + width;
+  }
+  const size_t padded = static_cast<size_t>(out.slice_ptr[slices]) *
+                        static_cast<size_t>(la::kSellLanes);
+  out.col_idx.assign(padded, 0);
+  out.values.assign(padded, 0.0);
+  out.value_slot.assign(m.col_idx.size(), 0);
+  for (int64_t s = 0; s < slices; ++s) {
+    for (int64_t l = 0; l < la::kSellLanes; ++l) {
+      const int64_t slot = s * la::kSellLanes + l;
+      const int64_t row = out.perm[slot];
+      if (row < 0) continue;
+      for (int64_t j = 0; j < out.row_len[slot]; ++j) {
+        const int64_t at = (out.slice_ptr[s] + j) * la::kSellLanes + l;
+        const int64_t p = m.row_ptr[row] + j;
+        out.col_idx[at] = m.col_idx[p];
+        out.values[at] = m.values[p];
+        out.value_slot[p] = at;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(AggregatorTest, UnionPatternMatchesSerialMerge) {
+  // The aggregator's union build (a k-way merge over cached cursor heads)
+  // and its SELL build must reproduce the reference merge slot for slot at
+  // every thread and shard count: union row_ptr / col_idx, every view's
+  // scatter map (read back through a weight-1 aggregate of index-valued
+  // views) and the whole SELL pattern.
+  ThreadCountGuard guard;
+  uint64_t seed = 4400;
+  for (int64_t n : {1, 9, 511, 513, 1537, 2570}) {
+    Rng rng(seed++);
+    const int num_views = static_cast<int>(rng.UniformInt(1, 4));
+    std::vector<la::CsrMatrix> views;
+    for (int v = 0; v < num_views; ++v) {
+      views.push_back(RandomPatternView(n, &rng));
+    }
+    la::CsrMatrix want;
+    std::vector<std::vector<int64_t>> want_scatter;
+    SerialUnionMerge(views, &want, &want_scatter);
+    const la::SellMatrix want_sell = SerialSellPattern(want);
+    for (int threads : {1, 4}) {
+      util::ThreadPool::SetGlobalThreads(threads);
+      for (int shards : {1, 3, 4}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " views=" +
+                     std::to_string(num_views) + " threads=" +
+                     std::to_string(threads) + " shards=" +
+                     std::to_string(shards));
+        core::LaplacianAggregator aggregator(
+            &views, serve::MakeShardPlan(n, shards).boundaries);
+        const la::CsrMatrix& got = aggregator.pattern();
+        ASSERT_EQ(got.row_ptr, want.row_ptr);
+        ASSERT_EQ(got.col_idx, want.col_idx);
+        la::CsrMatrix out;
+        aggregator.BindPattern(&out);
+        for (int v = 0; v < num_views; ++v) {
+          std::vector<double> weights(static_cast<size_t>(num_views), 0.0);
+          weights[static_cast<size_t>(v)] = 1.0;
+          aggregator.AggregateValuesInto(weights, &out);
+          std::vector<double> expected(want.col_idx.size(), 0.0);
+          for (size_t p = 0; p < want_scatter[v].size(); ++p) {
+            expected[static_cast<size_t>(want_scatter[v][p])] =
+                views[v].values[p];
+          }
+          ASSERT_EQ(out.values, expected) << "scatter map of view " << v;
+        }
+        la::SellMatrix sell;
+        aggregator.BindSellPattern(&sell);
+        EXPECT_EQ(sell.slice_ptr, want_sell.slice_ptr);
+        EXPECT_EQ(sell.col_idx, want_sell.col_idx);
+        EXPECT_EQ(sell.values, want_sell.values);
+        EXPECT_EQ(sell.row_len, want_sell.row_len);
+        EXPECT_EQ(sell.perm, want_sell.perm);
+        EXPECT_EQ(sell.value_slot, want_sell.value_slot);
+      }
+    }
   }
 }
 

@@ -3,13 +3,19 @@
 // per-shard selective rebuild), warm-started eigensolves (strictly fewer
 // Lanczos iterations, same eigenpairs within tolerance, at SGLA_THREADS=1,4
 // x shards=1,4), the zero-allocation hot path of a value-only update +
-// warm re-solve, and UpdateGraph racing evict/re-register (TSAN-clean).
+// warm re-solve, UpdateGraph racing evict/re-register (TSAN-clean), and the
+// seeded-random updated == fresh oracle over mixed delta streams.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -702,6 +708,273 @@ TEST(UpdateHammerTest, UpdateRacingEvictReregisterIsClean) {
   ASSERT_NE(registry.Find("g"), nullptr);
   auto updated = registry.UpdateGraph("g", delta);
   EXPECT_TRUE(updated.ok()) << updated.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Seeded updated == fresh oracle. Each seed draws a graph (two SBM views and
+// one attribute view) and a stream of mixed deltas: value-only re-weights,
+// pattern edits, one delta that removes a node's last edge in a view (its
+// row turns isolated), attribute rows, a mixed delta, and one mask ... edit
+// ... unmask. After every epoch the updated entry must equal a fresh
+// registration of the post-delta graph bit for bit: every resident view
+// Laplacian, the union pattern of the serving views, and an exact SGLA
+// solve's weights and labels — at threads {1, 4} x shards {1, 4}.
+// SGLA_UPDATE_ORACLE_SEED replays the one seed a red run printed.
+// ---------------------------------------------------------------------------
+
+enum class OracleStep { kValue, kPattern, kIsolate, kAttribute, kMixed,
+                        kMask, kUnmask };
+
+/// A random existing edge of graph view `view`.
+const graph::Edge& RandomEdge(const core::MultiViewGraph& mvag, int view,
+                              Rng* rng) {
+  const std::vector<graph::Edge>& edges =
+      mvag.graph_views()[static_cast<size_t>(view)].edges();
+  return edges[static_cast<size_t>(
+      rng->UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+}
+
+/// Re-weights 1-8 existing edges of `view` (no pattern change) and, when
+/// `structural`, also removes 1-6 edges and inserts 1-6 new pairs.
+serve::GraphViewDelta RandomEdgeEdits(const core::MultiViewGraph& mvag,
+                                      int view, bool structural, Rng* rng) {
+  serve::GraphViewDelta d;
+  d.view = view;
+  const int64_t n = mvag.num_nodes();
+  for (int64_t i = rng->UniformInt(1, 8); i > 0; --i) {
+    const graph::Edge& e = RandomEdge(mvag, view, rng);
+    d.upserts.push_back({e.u, e.v, 0.2 + 1.5 * rng->Uniform()});
+  }
+  if (!structural) return d;
+  for (int64_t i = rng->UniformInt(1, 6); i > 0; --i) {
+    const graph::Edge& e = RandomEdge(mvag, view, rng);
+    d.removals.push_back({e.u, e.v});
+  }
+  for (int64_t i = rng->UniformInt(1, 6); i > 0; --i) {
+    const int64_t u = rng->UniformInt(0, n - 1);
+    const int64_t v = (u + rng->UniformInt(1, n - 1)) % n;  // never u
+    d.upserts.push_back({u, v, 0.2 + 1.5 * rng->Uniform()});
+  }
+  return d;
+}
+
+/// Removes every edge of one node in `view`: its Laplacian row empties.
+serve::GraphViewDelta IsolateNode(const core::MultiViewGraph& mvag, int view,
+                                  Rng* rng) {
+  serve::GraphViewDelta d;
+  d.view = view;
+  const int64_t node = RandomEdge(mvag, view, rng).u;
+  std::set<std::pair<int64_t, int64_t>> pairs;
+  for (const graph::Edge& e :
+       mvag.graph_views()[static_cast<size_t>(view)].edges()) {
+    if (e.u == node || e.v == node) pairs.insert({e.u, e.v});
+  }
+  for (const auto& [u, v] : pairs) d.removals.push_back({u, v});
+  return d;
+}
+
+serve::AttributeRowUpdate RandomAttributeRow(const core::MultiViewGraph& mvag,
+                                             Rng* rng) {
+  serve::AttributeRowUpdate row;
+  row.view = 0;
+  row.row = rng->UniformInt(0, mvag.num_nodes() - 1);
+  row.values.resize(static_cast<size_t>(mvag.attribute_views()[0].cols()));
+  for (double& x : row.values) x = 3.0 * rng->Gaussian();
+  return row;
+}
+
+/// The active views of `mvag` as a graph of their own, global order kept.
+core::MultiViewGraph ActiveSubset(const core::MultiViewGraph& mvag,
+                                  const std::vector<bool>& active) {
+  core::MultiViewGraph subset(mvag.num_nodes(), mvag.num_clusters());
+  const size_t num_graphs = mvag.graph_views().size();
+  for (size_t v = 0; v < active.size(); ++v) {
+    if (!active[v]) continue;
+    if (v < num_graphs) {
+      subset.AddGraphView(mvag.graph_views()[v]);
+    } else {
+      subset.AddAttributeView(mvag.attribute_views()[v - num_graphs]);
+    }
+  }
+  return subset;
+}
+
+serve::SolveResponse ExactSgla(serve::Engine* engine) {
+  serve::SolveRequest request;
+  request.graph_id = "g";
+  request.algorithm = serve::Algorithm::kSgla;
+  request.options.base.max_evaluations = 2;  // the oracle compares, not tunes
+  request.kmeans.num_init = 1;
+  auto response = engine->Solve(request);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.ok() ? std::move(*response) : serve::SolveResponse();
+}
+
+void ExpectSameCsr(const la::CsrMatrix& got, const la::CsrMatrix& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
+  EXPECT_EQ(got.col_idx, want.col_idx);
+  EXPECT_EQ(got.values, want.values);
+}
+
+/// One epoch of an oracle stream: the delta, and what a fresh registration
+/// of the post-delta graph serves.
+struct OracleEpoch {
+  serve::GraphDelta delta;
+  std::vector<bool> active;              ///< post-delta activity mask
+  std::vector<la::CsrMatrix> views;      ///< fresh Laplacian of every view
+  la::CsrMatrix pattern;                 ///< fresh union of the active views
+  serve::SolveResponse solve;            ///< fresh exact SGLA solve
+};
+
+/// The graph and delta stream of one seed, with a fresh registration's
+/// state after every epoch. The fresh side runs once, at the default thread
+/// count on one shard: sharded == unsharded and thread-count invariance are
+/// contracts of their own, so every (threads, shards) run of the stream
+/// must match it.
+struct OracleStream {
+  core::MultiViewGraph initial;
+  std::vector<OracleEpoch> epochs;
+  serve::RegisterOptions options;  ///< KNN options both sides use
+};
+
+OracleStream MakeOracleStream(uint64_t seed) {
+  // Sizes cycle with the seed: one to four 512-row shard chunks, ragged.
+  const int64_t sizes[] = {257, 613, 1030, 1537};
+  const int64_t n = sizes[seed % 4];
+  const int k = 3;
+  Rng rng(seed);
+  const std::vector<int32_t> labels = data::BalancedLabels(n, k, &rng);
+  OracleStream stream;
+  core::MultiViewGraph mvag(n, k);
+  mvag.AddGraphView(data::SbmGraph(labels, k, 0.02, 0.004, &rng));
+  mvag.AddGraphView(data::SbmGraph(labels, k, 0.012, 0.005, &rng));
+  mvag.AddAttributeView(data::GaussianAttributes(labels, k, 6, 3.0, 0.9, &rng));
+  stream.initial = mvag;
+  // A small RP forest (the KNN path served graphs above 2048 nodes take):
+  // every registration and attribute delta re-runs it, on both sides.
+  stream.options.knn.exact_threshold = 128;
+  stream.options.knn.k = 6;
+  stream.options.knn.trees = 2;
+  stream.options.knn.leaf_size = 32;
+
+  // Five edit kinds in a seeded order, with a mask before one of the first
+  // three and its unmask two steps later (one edit in between runs while
+  // the view is masked).
+  std::vector<OracleStep> steps = {OracleStep::kValue, OracleStep::kPattern,
+                                   OracleStep::kIsolate,
+                                   OracleStep::kAttribute, OracleStep::kMixed};
+  rng.Shuffle(&steps);
+  const int64_t mask_at = rng.UniformInt(0, 2);
+  steps.insert(steps.begin() + mask_at, OracleStep::kMask);
+  steps.insert(steps.begin() + mask_at + 2, OracleStep::kUnmask);
+  const int masked_view = static_cast<int>(rng.UniformInt(0, 2));
+
+  std::vector<bool> active(3, true);
+  for (OracleStep step : steps) {
+    OracleEpoch epoch;
+    const int view = static_cast<int>(rng.UniformInt(0, 1));
+    switch (step) {
+      case OracleStep::kValue:
+        epoch.delta.graph_views.push_back(
+            RandomEdgeEdits(mvag, view, false, &rng));
+        break;
+      case OracleStep::kPattern:
+        epoch.delta.graph_views.push_back(
+            RandomEdgeEdits(mvag, view, true, &rng));
+        break;
+      case OracleStep::kIsolate:
+        epoch.delta.graph_views.push_back(IsolateNode(mvag, view, &rng));
+        break;
+      case OracleStep::kAttribute:
+        epoch.delta.attribute_rows.push_back(RandomAttributeRow(mvag, &rng));
+        break;
+      case OracleStep::kMixed:
+        epoch.delta.graph_views.push_back(
+            RandomEdgeEdits(mvag, view, true, &rng));
+        epoch.delta.attribute_rows.push_back(RandomAttributeRow(mvag, &rng));
+        break;
+      case OracleStep::kMask:
+        epoch.delta.mask_views = {masked_view};
+        break;
+      case OracleStep::kUnmask:
+        epoch.delta.unmask_views = {masked_view};
+        break;
+    }
+    serve::DeltaEffects effects;
+    EXPECT_TRUE(serve::ApplyDelta(&mvag, epoch.delta, active, &effects).ok());
+    active = effects.active;
+    epoch.active = active;
+    auto views = core::ComputeViewLaplacians(mvag, stream.options.knn);
+    EXPECT_TRUE(views.ok());
+    if (views.ok()) epoch.views = std::move(*views);
+    serve::GraphRegistry fresh_registry;
+    auto fresh = fresh_registry.Register("g", ActiveSubset(mvag, active),
+                                         stream.options);
+    EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+    if (fresh.ok()) epoch.pattern = (*fresh)->aggregator->pattern();
+    serve::Engine fresh_engine(&fresh_registry);
+    epoch.solve = ExactSgla(&fresh_engine);
+    stream.epochs.push_back(std::move(epoch));
+  }
+  return stream;
+}
+
+void RunUpdateOracle(uint64_t seed, const OracleStream& stream, int threads,
+                     int shards) {
+  const int64_t n = stream.initial.num_nodes();
+  const std::string fixture =
+      "SGLA_UPDATE_ORACLE_SEED=" + std::to_string(seed) + " n=" +
+      std::to_string(n) + " threads=" + std::to_string(threads) +
+      " shards=" + std::to_string(shards);
+  std::printf("update oracle %s\n", fixture.c_str());
+  SCOPED_TRACE(fixture);
+  ThreadCountGuard guard;
+  util::ThreadPool::SetGlobalThreads(threads);
+
+  serve::RegisterOptions options = stream.options;
+  options.shards = shards;
+  serve::GraphRegistry registry;
+  ASSERT_TRUE(registry.Register("g", stream.initial, options).ok());
+  serve::Engine engine(&registry);
+  for (size_t e = 0; e < stream.epochs.size(); ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e + 1));
+    const OracleEpoch& want = stream.epochs[e];
+    auto updated = registry.UpdateGraph("g", want.delta);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    const serve::GraphEntry& entry = **updated;
+    EXPECT_EQ(entry.active, want.active);
+    // Every resident view, masked ones included, and the union pattern of
+    // the serving views, on the shard plan a fresh registration would use.
+    ASSERT_EQ(entry.views.size(), want.views.size());
+    for (size_t v = 0; v < want.views.size(); ++v) {
+      SCOPED_TRACE("view " + std::to_string(v));
+      ExpectSameCsr(entry.views[v], want.views[v]);
+    }
+    EXPECT_EQ(entry.aggregator->pattern().row_ptr, want.pattern.row_ptr);
+    EXPECT_EQ(entry.aggregator->pattern().col_idx, want.pattern.col_idx);
+    EXPECT_EQ(entry.aggregator->boundaries(),
+              serve::MakeShardPlan(n, shards).boundaries);
+    const serve::SolveResponse got = ExactSgla(&engine);
+    EXPECT_EQ(got.integration.weights, want.solve.integration.weights);
+    EXPECT_EQ(got.labels, want.solve.labels);
+    EXPECT_EQ(got.stats.graph_epoch, static_cast<int64_t>(e) + 1);
+  }
+}
+
+TEST(UpdateTest, SeededRandomUpdatedEqualsFresh) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("SGLA_UPDATE_ORACLE_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t i = 0; i < 8; ++i) seeds.push_back(20261018 + i);
+  }
+  for (uint64_t seed : seeds) {
+    const OracleStream stream = MakeOracleStream(seed);
+    for (int threads : {1, 4}) {
+      for (int shards : {1, 4}) RunUpdateOracle(seed, stream, threads, shards);
+    }
+  }
 }
 
 }  // namespace
