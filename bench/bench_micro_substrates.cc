@@ -17,6 +17,7 @@
 #include "core/aggregator.h"
 #include "core/objective.h"
 #include "core/sgla.h"
+#include "core/view_laplacian.h"
 #include "data/generator.h"
 #include "graph/knn.h"
 #include "graph/laplacian.h"
@@ -168,7 +169,48 @@ void BM_KnnRpForest(benchmark::State& state) {
     benchmark::DoNotOptimize(g.num_edges());
   }
 }
-BENCHMARK(BM_KnnRpForest)->Arg(2000)->Arg(8000);
+// The trees run across the pool: wall time, not the calling thread's
+// cpu_time.
+BENCHMARK(BM_KnnRpForest)->Arg(2000)->Arg(8000)->Arg(16000)->UseRealTime();
+
+// A multi-view graph shaped like perfbench's: two SBM views and a 16-dim
+// Gaussian attribute view with separation 3 and noise 3 (update_stream's
+// SBM densities at 8000 nodes, solve_exact's at 16000).
+const core::MultiViewGraph& PerfbenchShapedMvag(int64_t n) {
+  static std::map<int64_t, core::MultiViewGraph> cache;
+  auto it = cache.find(n);
+  if (it == cache.end()) {
+    const bool large = n >= 16000;
+    const int clusters = large ? 5 : 4;
+    Rng rng(41);
+    const std::vector<int32_t> labels = data::BalancedLabels(n, clusters, &rng);
+    core::MultiViewGraph mvag(n, clusters);
+    mvag.AddGraphView(data::SbmGraph(labels, clusters, large ? 0.005 : 0.008,
+                                     large ? 0.0008 : 0.0012, &rng));
+    mvag.AddGraphView(data::SbmGraph(labels, clusters, large ? 0.0035 : 0.005,
+                                     large ? 0.001 : 0.0015, &rng));
+    mvag.AddAttributeView(
+        data::GaussianAttributes(labels, clusters, 16, 3.0, 3.0, &rng));
+    it = cache.emplace(n, std::move(mvag)).first;
+  }
+  return it->second;
+}
+
+// Registration's (and recovery's) Laplacian step: every view's normalized
+// Laplacian, the attribute view's through its RP-forest KNN. Wall time: each
+// kernel runs across the pool.
+void BM_ComputeViewLaplacians(benchmark::State& state) {
+  const core::MultiViewGraph& mvag = PerfbenchShapedMvag(state.range(0));
+  for (auto _ : state) {
+    auto views = core::ComputeViewLaplacians(mvag);
+    benchmark::DoNotOptimize(views.ok());
+  }
+}
+BENCHMARK(BM_ComputeViewLaplacians)
+    ->Arg(8000)
+    ->Arg(16000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KMeans(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));

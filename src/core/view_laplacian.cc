@@ -1,7 +1,6 @@
 #include "core/view_laplacian.h"
 
 #include "graph/laplacian.h"
-#include "util/thread_pool.h"
 
 namespace sgla {
 namespace core {
@@ -11,6 +10,8 @@ Result<std::vector<la::CsrMatrix>> ComputeViewLaplacians(
   if (mvag.num_views() == 0) {
     return InvalidArgument("multi-view graph has no views");
   }
+  const Status knn_valid = graph::ValidateKnnOptions(knn);
+  if (!knn_valid.ok()) return knn_valid;
   for (const graph::Graph& g : mvag.graph_views()) {
     if (g.num_nodes() != mvag.num_nodes()) {
       return InvalidArgument("graph view node count mismatch");
@@ -22,27 +23,19 @@ Result<std::vector<la::CsrMatrix>> ComputeViewLaplacians(
     }
   }
 
-  // One task per view; each view's Laplacian (and KNN graph, for attribute
-  // views) is built independently into its own slot, so the output is
-  // identical to the serial loop. Order: graph views first, then attribute
-  // views (matching the paper's L_1..L_r indexing).
-  const int64_t num_graphs = static_cast<int64_t>(mvag.graph_views().size());
-  const int64_t num_views = mvag.num_views();
-  std::vector<la::CsrMatrix> views(static_cast<size_t>(num_views));
-  util::ThreadPool::Global().ParallelFor(
-      0, num_views, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t v = lo; v < hi; ++v) {
-          if (v < num_graphs) {
-            views[static_cast<size_t>(v)] = graph::NormalizedLaplacian(
-                mvag.graph_views()[static_cast<size_t>(v)]);
-          } else {
-            views[static_cast<size_t>(v)] =
-                graph::NormalizedLaplacian(graph::KnnGraph(
-                    mvag.attribute_views()[static_cast<size_t>(v - num_graphs)],
-                    knn));
-          }
-        }
-      });
+  // One view after another, graph views first, then attribute views
+  // (matching the paper's L_1..L_r indexing). Each kernel runs across the
+  // whole pool and is bit-identical at any thread count; one pool task per
+  // view would instead run each view's KNN trees one by one on a single
+  // worker.
+  std::vector<la::CsrMatrix> views;
+  views.reserve(static_cast<size_t>(mvag.num_views()));
+  for (const graph::Graph& g : mvag.graph_views()) {
+    views.push_back(graph::NormalizedLaplacian(g));
+  }
+  for (const la::DenseMatrix& x : mvag.attribute_views()) {
+    views.push_back(graph::NormalizedLaplacian(graph::KnnGraph(x, knn)));
+  }
   return views;
 }
 
@@ -53,6 +46,8 @@ Result<la::CsrMatrix> ComputeViewLaplacian(const MultiViewGraph& mvag,
   if (view < 0 || view >= mvag.num_views()) {
     return InvalidArgument("view index out of range");
   }
+  const Status knn_valid = graph::ValidateKnnOptions(knn);
+  if (!knn_valid.ok()) return knn_valid;
   if (view < num_graphs) {
     const graph::Graph& g = mvag.graph_views()[static_cast<size_t>(view)];
     if (g.num_nodes() != mvag.num_nodes()) {

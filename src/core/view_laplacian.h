@@ -13,7 +13,8 @@ namespace core {
 
 /// One normalized Laplacian per view: graph views directly, attribute views
 /// through a KNN graph built with `knn`. Order: graph views first, then
-/// attribute views (matching the paper's L_1..L_r indexing).
+/// attribute views (matching the paper's L_1..L_r indexing). Options that
+/// fail graph::ValidateKnnOptions are an InvalidArgument.
 Result<std::vector<la::CsrMatrix>> ComputeViewLaplacians(
     const MultiViewGraph& mvag, const graph::KnnOptions& knn = {});
 

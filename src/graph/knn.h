@@ -5,6 +5,7 @@
 
 #include "graph/graph.h"
 #include "la/dense.h"
+#include "util/status.h"
 
 namespace sgla {
 namespace graph {
@@ -19,8 +20,19 @@ struct KnnOptions {
   uint64_t seed = 9176;
 };
 
+/// Largest accepted KnnOptions::trees. The forest holds every tree's
+/// candidate heaps until the merge, so the tree count bounds that memory
+/// (trees x n x min(k, leaf_size - 1) candidates).
+inline constexpr int kMaxKnnTrees = 64;
+
+/// OK when `options` is in range: k >= 1, 1 <= trees <= kMaxKnnTrees,
+/// leaf_size >= 1 and exact_threshold >= 0. Options read from the wire or
+/// from disk go through this before they reach KnnGraph.
+Status ValidateKnnOptions(const KnnOptions& options);
+
 /// Symmetric k-nearest-neighbor graph over the rows of `points` (Euclidean
-/// distance, unit edge weights, union-symmetrized).
+/// distance, unit edge weights, union-symmetrized). Edges are listed in
+/// ascending (u, v) order, u < v. `options` must pass ValidateKnnOptions.
 Graph KnnGraph(const la::DenseMatrix& points, const KnnOptions& options = {});
 
 }  // namespace graph

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "data/io.h"
+#include "graph/knn.h"
 #include "persist/wal.h"
 #include "rpc/wire.h"
 
@@ -125,6 +126,12 @@ Result<CheckpointData> DecodeCheckpoint(const uint8_t* data, size_t size) {
             r.U64(&ck.options.knn.seed) && r.U64(&ck.next_view_uid) &&
             r.U64(&uid_count) && r.CheckCount(uid_count, 8);
   if (!ok) return InvalidArgument("corrupt checkpoint header");
+  // The CRC only proves the bytes are the ones written; KnnGraph needs the
+  // options in range (k = 0 aborts, leaf_size = 0 never stops splitting).
+  const Status knn_valid = graph::ValidateKnnOptions(ck.options.knn);
+  if (!knn_valid.ok()) {
+    return InvalidArgument("checkpoint KNN options: " + knn_valid.message());
+  }
   ck.options.updatable = updatable != 0;
   ck.options.robust_views = robust != 0;
   ck.view_uids.resize(uid_count);

@@ -74,8 +74,8 @@ void ThreadPool::RunChunked(int64_t begin, int64_t end, int64_t grain,
     // merged by chunk index get the same bits as any parallel schedule.
     // tls_in_parallel is deliberately NOT set here: only DrainJob marks real
     // worker-chunk execution. A top-level caller running inline holds no
-    // pool state, so kernels nested under it (e.g. KnnGraph beneath a
-    // single-view ComputeViewLaplacians) stay free to parallelize.
+    // pool state, so kernels nested under it (e.g. beneath a one-chunk
+    // job) stay free to parallelize.
     for (int64_t c = 0; c < chunks; ++c) {
       fn(ctx, c, begin + c * g, std::min(end, begin + (c + 1) * g));
     }

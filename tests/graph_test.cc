@@ -1,13 +1,18 @@
 // NormalizedLaplacian invariants: symmetry, PSD-ness, the D^{1/2}1 null
 // vector, unit diagonal, spectrum within [0, 2]; the direct-CSR build
 // against the triplet build it replaced, bit for bit, at 1 and 4 threads;
-// KNN graph sanity on well-separated blobs.
+// KNN graph sanity on well-separated blobs; the flat-heap KNN against a
+// copy of the vector-of-vectors implementation it replaced, edge for edge.
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -321,6 +326,231 @@ TEST(KnnTest, ApproximatePathCoversExactNeighborsMostly) {
   // The forest should recover a solid majority of true neighbor pairs.
   EXPECT_GT(static_cast<double>(recalled),
             0.5 * static_cast<double>(ge.num_edges()));
+}
+
+// The KNN graph as built before the flat heaps: one growing vector per node
+// per tree, a duplicate scan before every offer, fresh vectors per RP
+// split, the trees merged one whole tree after another and the edges
+// symmetrized through a std::set. Kept as the oracle the flat-heap build
+// must match exactly.
+namespace reference {
+
+using Candidate = std::pair<double, int64_t>;
+
+class NeighborHeap {
+ public:
+  NeighborHeap(int64_t n, int k) : k_(k), heaps_(static_cast<size_t>(n)) {}
+
+  void Offer(int64_t node, int64_t neighbor, double dist2) {
+    auto& heap = heaps_[static_cast<size_t>(node)];
+    for (const Candidate& c : heap) {
+      if (c.second == neighbor) return;
+    }
+    if (static_cast<int>(heap.size()) < k_) {
+      heap.push_back({dist2, neighbor});
+      std::push_heap(heap.begin(), heap.end());
+    } else if (dist2 < heap.front().first) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = {dist2, neighbor};
+      std::push_heap(heap.begin(), heap.end());
+    }
+  }
+
+  const std::vector<Candidate>& Of(int64_t node) const {
+    return heaps_[static_cast<size_t>(node)];
+  }
+
+ private:
+  int k_;
+  std::vector<std::vector<Candidate>> heaps_;
+};
+
+void BruteForceBlock(const la::DenseMatrix& points,
+                     const std::vector<int64_t>& block, NeighborHeap* heap) {
+  const int64_t d = points.cols();
+  for (size_t a = 0; a < block.size(); ++a) {
+    for (size_t b = a + 1; b < block.size(); ++b) {
+      const int64_t i = block[a];
+      const int64_t j = block[b];
+      const double dist2 =
+          la::SquaredDistance(points.Row(i), points.Row(j), d);
+      heap->Offer(i, j, dist2);
+      heap->Offer(j, i, dist2);
+    }
+  }
+}
+
+void RpTreeSplit(const la::DenseMatrix& points, std::vector<int64_t> nodes,
+                 int leaf_size, Rng* rng, NeighborHeap* heap) {
+  if (static_cast<int>(nodes.size()) <= leaf_size) {
+    BruteForceBlock(points, nodes, heap);
+    return;
+  }
+  const int64_t d = points.cols();
+  la::Vector direction(static_cast<size_t>(d));
+  for (int64_t j = 0; j < d; ++j) {
+    direction[static_cast<size_t>(j)] = rng->Gaussian();
+  }
+  std::vector<double> projection(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    projection[i] = la::Dot(points.Row(nodes[i]), direction.data(), d);
+  }
+  std::vector<double> sorted = projection;
+  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
+                   sorted.end());
+  const double median = sorted[sorted.size() / 2];
+  std::vector<int64_t> left, right;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    (projection[i] < median ? left : right).push_back(nodes[i]);
+  }
+  if (left.empty() || right.empty()) {
+    left.assign(nodes.begin(), nodes.begin() + nodes.size() / 2);
+    right.assign(nodes.begin() + nodes.size() / 2, nodes.end());
+  }
+  RpTreeSplit(points, std::move(left), leaf_size, rng, heap);
+  RpTreeSplit(points, std::move(right), leaf_size, rng, heap);
+}
+
+// Serial throughout: the pool-parallel original was bit-identical to it.
+std::vector<std::pair<int64_t, int64_t>> KnnEdges(
+    const la::DenseMatrix& points, const graph::KnnOptions& options) {
+  const int64_t n = points.rows();
+  NeighborHeap heap(n, options.k);
+  if (n <= options.exact_threshold) {
+    std::vector<int64_t> all(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) all[static_cast<size_t>(i)] = i;
+    BruteForceBlock(points, all, &heap);
+  } else {
+    std::vector<NeighborHeap> tree_heaps;
+    for (int t = 0; t < options.trees; ++t) {
+      tree_heaps.emplace_back(n, options.k);
+      Rng tree_rng(options.seed +
+                   0x9e3779b97f4a7c15ull * static_cast<uint64_t>(t + 1));
+      std::vector<int64_t> all(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) all[static_cast<size_t>(i)] = i;
+      RpTreeSplit(points, std::move(all), options.leaf_size, &tree_rng,
+                  &tree_heaps.back());
+    }
+    for (int t = 0; t < options.trees; ++t) {
+      for (int64_t i = 0; i < n; ++i) {
+        for (const Candidate& c : tree_heaps[static_cast<size_t>(t)].Of(i)) {
+          heap.Offer(i, c.second, c.first);
+        }
+      }
+    }
+  }
+  std::set<std::pair<int64_t, int64_t>> edges;
+  for (int64_t i = 0; i < n; ++i) {
+    for (const Candidate& c : heap.Of(i)) {
+      edges.insert({std::min(i, c.second), std::max(i, c.second)});
+    }
+  }
+  return {edges.begin(), edges.end()};
+}
+
+}  // namespace reference
+
+std::vector<std::pair<int64_t, int64_t>> EdgePairs(const graph::Graph& g) {
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (const graph::Edge& e : g.edges()) {
+    EXPECT_EQ(e.weight, 1.0);
+    edges.push_back({e.u, e.v});
+  }
+  return edges;
+}
+
+// Small integer coordinates and exact duplicate rows: many distances tie,
+// including at every heap's k-th boundary.
+la::DenseMatrix TiedPoints(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  const int64_t d = 5;
+  la::DenseMatrix x(n, d);
+  for (int64_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.UniformInt(0, 3) == 0) {
+      const int64_t source = rng.UniformInt(0, i - 1);
+      for (int64_t j = 0; j < d; ++j) x(i, j) = x(source, j);
+    } else {
+      for (int64_t j = 0; j < d; ++j) {
+        x(i, j) = static_cast<double>(rng.UniformInt(-2, 2));
+      }
+    }
+  }
+  return x;
+}
+
+void ExpectMatchesReference(const la::DenseMatrix& x,
+                            const graph::KnnOptions& options) {
+  SCOPED_TRACE("n=" + std::to_string(x.rows()) +
+               " k=" + std::to_string(options.k) +
+               " leaf_size=" + std::to_string(options.leaf_size) +
+               " trees=" + std::to_string(options.trees) +
+               " exact_threshold=" + std::to_string(options.exact_threshold));
+  const auto want = reference::KnnEdges(x, options);
+  // One thread runs every calling context on the same serial schedule; at
+  // four, the build runs across the pool at top level, inline under an
+  // InlineScope, and inline again from inside a worker's chunk.
+  util::ThreadPool::SetGlobalThreads(1);
+  EXPECT_EQ(EdgePairs(graph::KnnGraph(x, options)), want) << "1 thread";
+  util::ThreadPool::SetGlobalThreads(4);
+  EXPECT_EQ(EdgePairs(graph::KnnGraph(x, options)), want) << "top level";
+  {
+    util::ThreadPool::InlineScope inline_scope;
+    EXPECT_EQ(EdgePairs(graph::KnnGraph(x, options)), want) << "inline scope";
+  }
+  util::ThreadPool::Global().ParallelFor(0, 2, 1, [&](int64_t lo, int64_t) {
+    if (lo != 0) return;
+    EXPECT_TRUE(util::ThreadPool::InParallelRegion());
+    EXPECT_EQ(EdgePairs(graph::KnnGraph(x, options)), want)
+        << "inside a ParallelFor chunk";
+  });
+}
+
+TEST(KnnTest, FlatForestMatchesReference) {
+  ThreadCountGuard guard;
+  for (int64_t n : {1, 2, 11, 2047, 2048, 2049, 8193}) {
+    const la::DenseMatrix x = TiedPoints(n, 7000 + static_cast<uint64_t>(n));
+    for (int64_t k : {int64_t{1}, int64_t{10}, n - 1, n + 5}) {
+      if (k < 1) continue;
+      // k >= n - 1 leaves every heap unbounded by k: each reference offer
+      // scans up to n - 1 (exact) or trees x (leaf_size - 1) (forest)
+      // candidates. Past 11 nodes those runs stay on narrow leaves.
+      const bool wide_k = k >= n - 1 && n > 11;
+      // The exact path ignores leaf_size and trees; exact_threshold = 0
+      // sends the small inputs through the forest as well.
+      for (int64_t threshold : {int64_t{2048}, int64_t{0}}) {
+        const bool exact = n <= threshold;
+        if (threshold == 0 && n > 11) continue;
+        if (exact && wide_k) continue;
+        for (int leaf_size : {1, 2, 7, 96}) {
+          for (int trees : {1, 3, 8}) {
+            if (exact && (leaf_size != 96 || trees != 8)) continue;
+            if (wide_k && leaf_size > 7) continue;
+            graph::KnnOptions options;
+            options.k = static_cast<int>(k);
+            options.leaf_size = leaf_size;
+            options.trees = trees;
+            options.exact_threshold = threshold;
+            ExpectMatchesReference(x, options);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnTest, HugeKEqualsAllOtherNodes) {
+  // k is clamped to n - 1 before any heap is sized: INT_MAX allocates no
+  // more than k = n - 1 does and builds the same graph.
+  const la::DenseMatrix x = TiedPoints(300, 77);
+  for (int64_t threshold : {int64_t{1}, int64_t{2048}}) {
+    graph::KnnOptions huge;
+    huge.k = INT_MAX;
+    huge.exact_threshold = threshold;
+    graph::KnnOptions all = huge;
+    all.k = 299;
+    EXPECT_EQ(EdgePairs(graph::KnnGraph(x, huge)),
+              EdgePairs(graph::KnnGraph(x, all)));
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include "data/generator.h"
 #include "graph/graph.h"
+#include "graph/knn.h"
 #include "persist/checkpoint.h"
 #include "persist/store.h"
 #include "persist/wal.h"
@@ -478,6 +479,49 @@ TEST(CheckpointTest, HostileCountsAndTruncationsNeverCrashDecode) {
   EXPECT_FALSE(decoded.ok());
 }
 
+// Out-of-range KNN options a CRC-valid checkpoint can carry: k = 0 aborts
+// KnnGraph, leaf_size = 0 splits without end, a huge tree count allocates a
+// heap array per tree.
+std::vector<graph::KnnOptions> HostileKnnOptions() {
+  std::vector<graph::KnnOptions> hostile(8);
+  hostile[0].k = 0;
+  hostile[1].k = -5;
+  hostile[2].leaf_size = 0;
+  hostile[3].leaf_size = -1;
+  hostile[4].trees = 0;
+  hostile[5].trees = graph::kMaxKnnTrees + 1;
+  hostile[6].trees = 1 << 30;
+  hostile[7].exact_threshold = -1;
+  return hostile;
+}
+
+TEST(CheckpointTest, OutOfRangeKnnOptionsAreRejectedByDecode) {
+  {
+    // The edges of the accepted range decode.
+    persist::CheckpointData data = MakeCheckpointData();
+    data.options.knn.k = 1;
+    data.options.knn.trees = graph::kMaxKnnTrees;
+    data.options.knn.leaf_size = 1;
+    data.options.knn.exact_threshold = 0;
+    std::vector<uint8_t> payload;
+    persist::EncodeCheckpoint(data, &payload);
+    auto decoded = persist::DecodeCheckpoint(payload.data(), payload.size());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->options.knn.trees, graph::kMaxKnnTrees);
+  }
+  for (const graph::KnnOptions& knn : HostileKnnOptions()) {
+    persist::CheckpointData data = MakeCheckpointData();
+    data.options.knn = knn;
+    std::vector<uint8_t> payload;
+    persist::EncodeCheckpoint(data, &payload);
+    auto decoded = persist::DecodeCheckpoint(payload.data(), payload.size());
+    ASSERT_FALSE(decoded.ok()) << "k=" << knn.k << " trees=" << knn.trees
+                               << " leaf_size=" << knn.leaf_size
+                               << " exact_threshold=" << knn.exact_threshold;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // WAL record codec
 // ---------------------------------------------------------------------------
@@ -779,6 +823,55 @@ TEST(StoreTest, CorruptCheckpointFailsRecoveryAndGatesMutations) {
   EXPECT_EQ(registered.status().code(), engine.recovery_status().code());
   EXPECT_FALSE(engine.UpdateGraph("g", TestDelta(1, 40)).ok());
   EXPECT_FALSE(engine.Checkpoint("g").ok());
+}
+
+TEST(StoreTest, CraftedKnnOptionsFailRecoveryWithATypedError) {
+  // A checkpoint whose bytes and CRC are intact but whose KNN options are
+  // out of range: recovery must report InvalidArgument, not rebuild the
+  // attribute view's KNN graph from them.
+  for (const graph::KnnOptions& knn : HostileKnnOptions()) {
+    const std::string dir = MakeTempDir();
+    {
+      serve::GraphRegistry registry;
+      serve::EngineOptions options;
+      options.data_dir = dir;
+      options.persist_fsync = false;
+      serve::Engine engine(&registry, options);
+      ASSERT_TRUE(engine.recovery_status().ok());
+      serve::RegisterOptions register_options;
+      register_options.coarsen_ratio = 0.0;
+      ASSERT_TRUE(
+          engine.RegisterGraph("g", TestFixture(60), register_options).ok());
+    }
+    const std::string checkpoint_path = FindCheckpointFile(dir);
+    ASSERT_NE(checkpoint_path, "");
+    auto loaded = persist::LoadCheckpoint(checkpoint_path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    loaded->options.knn = knn;
+    ASSERT_TRUE(persist::SaveCheckpoint(*loaded, checkpoint_path).ok());
+
+    serve::GraphRegistry registry;
+    serve::EngineOptions options;
+    options.data_dir = dir;
+    serve::Engine engine(&registry, options);
+    EXPECT_EQ(engine.recovery_status().code(), StatusCode::kInvalidArgument)
+        << engine.recovery_status().ToString();
+    EXPECT_EQ(registry.Find("g"), nullptr);
+  }
+}
+
+TEST(StoreTest, RegisterRejectsOutOfRangeKnnOptions) {
+  for (const graph::KnnOptions& knn : HostileKnnOptions()) {
+    serve::GraphRegistry registry;
+    serve::Engine engine(&registry);
+    serve::RegisterOptions register_options;
+    register_options.knn = knn;
+    auto registered =
+        engine.RegisterGraph("g", TestFixture(60), register_options);
+    ASSERT_FALSE(registered.ok());
+    EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(registry.Find("g"), nullptr);
+  }
 }
 
 TEST(StoreTest, CheckpointWithoutDataDirIsFailedPrecondition) {

@@ -15,11 +15,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -570,6 +572,40 @@ TEST_F(RpcServingTest, UpdateAndEvictWorkOverTheWire) {
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(client.Ping().ok());  // connection survived the typed error
+}
+
+TEST_F(RpcServingTest, HugeKnnKRegistersLikeAllOtherNodes) {
+  // A wire knn_k of INT32_MAX is clamped to n - 1 before any KNN heap is
+  // sized: registration succeeds and builds exactly the views k = n - 1
+  // builds.
+  StartServing({});
+  const int64_t n = 60;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  for (const auto& [id, knn_k] :
+       {std::pair<std::string, int32_t>{"huge", INT32_MAX},
+        std::pair<std::string, int32_t>{"all", static_cast<int32_t>(n - 1)}}) {
+    RegisterRequest request;
+    request.id = id;
+    request.mvag = MakeMvag(n, 3, 11);
+    request.knn_k = knn_k;
+    auto reply = client.Register(request);
+    ASSERT_TRUE(reply.ok()) << id << ": " << reply.status().ToString();
+    EXPECT_EQ(reply->num_nodes, n);
+  }
+  const auto huge = registry_->Find("huge");
+  const auto all = registry_->Find("all");
+  ASSERT_NE(huge, nullptr);
+  ASSERT_NE(all, nullptr);
+  ASSERT_EQ(huge->views.size(), 2u);
+  ASSERT_EQ(all->views.size(), 2u);
+  for (size_t v = 0; v < huge->views.size(); ++v) {
+    EXPECT_EQ(huge->views[v].row_ptr, all->views[v].row_ptr) << "view " << v;
+    EXPECT_EQ(huge->views[v].col_idx, all->views[v].col_idx) << "view " << v;
+    EXPECT_EQ(huge->views[v].values, all->views[v].values) << "view " << v;
+  }
+  // Every other node is a neighbor: the attribute view is complete.
+  EXPECT_EQ(huge->views[1].nnz(), n * n);
 }
 
 TEST_F(RpcServingTest, CheckpointWithoutDataDirIsTypedFailedPrecondition) {

@@ -1,9 +1,10 @@
 // Determinism bit-dump: runs the objective / Sgla / SglaPlus / clustering
-// pipeline on a fixed synthetic MVAG and prints an FNV-1a hash (plus a few
-// raw hex-encoded doubles) of every result array. The CI determinism job
-// runs this binary at SGLA_THREADS={1,4} x shards={1,4} per compiler and
-// fails on ANY output difference — threads and shards must never change
-// bits. Cross-compiler dumps are archived as artifacts for inspection
+// pipeline on a fixed synthetic MVAG (two graph views and one attribute
+// view, so the KNN graph is fingerprinted too) and prints an FNV-1a hash
+// (plus a few raw hex-encoded doubles) of every result array. The CI
+// determinism job runs this binary at SGLA_THREADS={1,4} x shards={1,4} per
+// compiler and fails on ANY output difference — threads and shards must never
+// change bits. Cross-compiler dumps are archived as artifacts for inspection
 // (different FP codegen may legitimately differ across compilers).
 //
 // Hashes are compared only within one ISA path: reduction kernels associate
@@ -82,7 +83,9 @@ uint64_t DoubleBits(double x) {
 int Run(int shards, serve::Quality quality) {
   // Fixed fixture: big enough that a 4-shard plan is real (>= 4 fixed
   // 512-row chunks) and ragged (n % 512 != 0) so boundary arithmetic is
-  // exercised, small enough to finish in CI seconds.
+  // exercised, small enough to finish in CI seconds. n is above the default
+  // KNN exact_threshold, so the attribute view's KNN graph comes from the
+  // RP forest.
   const int64_t n = 2570;
   const int k = 3;
   Rng rng(20250715);
@@ -90,6 +93,8 @@ int Run(int shards, serve::Quality quality) {
   core::MultiViewGraph mvag(n, k);
   mvag.AddGraphView(data::SbmGraph(labels, k, 0.03, 0.003, &rng));
   mvag.AddGraphView(data::SbmGraph(labels, k, 0.015, 0.006, &rng));
+  mvag.AddAttributeView(
+      data::GaussianAttributes(labels, k, 16, 3.0, 3.0, &rng));
   mvag.set_labels(std::move(labels));
 
   serve::GraphRegistry registry;
@@ -130,16 +135,16 @@ int Run(int shards, serve::Quality quality) {
     core::SpectralObjective objective((*entry)->aggregator.get(), k,
                                       core::ObjectiveOptions(), &eval_ws);
     const std::vector<std::vector<double>> probes = {
-        {0.5, 0.5}, {0.8, 0.2}, {0.35, 0.65}};
+        {0.4, 0.4, 0.2}, {0.7, 0.2, 0.1}, {0.3, 0.5, 0.2}};
     for (const std::vector<double>& w : probes) {
       auto value = objective.Evaluate(w);
       if (!value.ok()) {
         std::fprintf(stderr, "objective failed\n");
         return 1;
       }
-      std::printf("objective w0=%.2f h=%016" PRIx64 " gap=%016" PRIx64
+      std::printf("objective w0=%.2f w1=%.2f h=%016" PRIx64 " gap=%016" PRIx64
                   " l2=%016" PRIx64 "\n",
-                  w[0], DoubleBits(value->h), DoubleBits(value->eigengap),
+                  w[0], w[1], DoubleBits(value->h), DoubleBits(value->eigengap),
                   DoubleBits(value->lambda2));
     }
   }
