@@ -613,8 +613,8 @@ BENCHMARK(BM_EngineFirstFastSolve)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Build cost of the coarse companion, paid by the first fast/refined request
-// of an epoch: the multilevel heavy-edge matching over the union pattern
+// Build cost of the coarse companion, paid by the first fast request of an
+// epoch: the multilevel heavy-edge matching over the union pattern
 // plus the Galerkin contraction of one view. UpdateGraph pays it again when
 // a built companion's summed churn passes the limit.
 void BM_CoarsenGraph(benchmark::State& state) {
@@ -783,60 +783,6 @@ void BM_EngineUpdateGraphValueOnlyLazy(benchmark::State& state) {
   RunUpdateGraphValueOnly(state, /*build_companion=*/false);
 }
 BENCHMARK(BM_EngineUpdateGraphValueOnlyLazy)->Arg(2000);
-
-// Warm re-solve after a small delta: the serving loop the warm-start cache
-// exists for (update -> warm_start solve, repeatedly). Compare ns against
-// BM_EngineSolveCluster (cold) at the same size for the warm-start win.
-void BM_EngineWarmResolveAfterUpdate(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(179);
-  std::vector<int32_t> labels = data::BalancedLabels(n, 4, &rng);
-  core::MultiViewGraph mvag(n, 4);
-  mvag.AddGraphView(data::SbmGraph(labels, 4, 0.02, 0.002, &rng));
-  mvag.AddGraphView(data::SbmGraph(labels, 4, 0.01, 0.008, &rng));
-  mvag.set_labels(std::move(labels));
-
-  serve::GraphRegistry registry;
-  serve::Engine engine(&registry);
-  if (!engine.RegisterGraph("bench", mvag).ok()) {
-    state.SkipWithError("RegisterGraph failed");
-    return;
-  }
-  serve::SolveRequest request;
-  request.graph_id = "bench";
-  request.algorithm = serve::Algorithm::kSgla;
-  request.options.base.max_evaluations = 16;
-  benchmark::DoNotOptimize(engine.Solve(request).ok());  // bank the seed
-
-  serve::GraphDelta delta;
-  serve::GraphViewDelta view_delta;
-  view_delta.view = 0;
-  const std::vector<graph::Edge>& edges = mvag.graph_views()[0].edges();
-  for (size_t i = 0; i < edges.size() && i < 16; ++i) {
-    view_delta.upserts.push_back({edges[i].u, edges[i].v, 1.2});
-  }
-  delta.graph_views.push_back(std::move(view_delta));
-  request.warm_start = true;
-
-  double weight = 1.2;
-  const int64_t allocations_before =
-      g_allocations.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    for (serve::EdgeUpsert& upsert : delta.graph_views[0].upserts) {
-      upsert.weight = weight;
-    }
-    benchmark::DoNotOptimize(engine.UpdateGraph("bench", delta).ok());
-    auto response = engine.Solve(request);
-    benchmark::DoNotOptimize(response.ok());
-    weight = weight < 1.6 ? weight + 0.05 : 1.2;
-  }
-  state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
-                          allocations_before),
-      benchmark::Counter::kAvgIterations);
-  state.SetLabel(la::simd::ActiveIsaName());
-}
-BENCHMARK(BM_EngineWarmResolveAfterUpdate)->Arg(2000);
 
 void BM_SglaCobyla(benchmark::State& state) {
   const Fixture& f = Fixture::Get(2000);

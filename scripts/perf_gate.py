@@ -70,10 +70,9 @@ P99_FAIL_RATIO = 4.0
 P99_WARN_RATIO = 2.0
 ALLOC_GATED = ("BM_EngineObjectiveSteadyState", "BM_EngineAggregateSteadyState")
 # Compute-bound benches whose cpu_time measures real work on the calling
-# thread. BM_EngineSolveCluster*, BM_EngineSolveFastTier and
-# BM_EngineWarmResolveAfterUpdate are deliberately absent: their solves run
-# on session workers, so caller-thread cpu_time is submit/wait overhead
-# (scheduler noise on shared runners).
+# thread. BM_EngineSolveCluster* and BM_EngineSolveFastTier are
+# deliberately absent: their solves run on session workers, so caller-thread
+# cpu_time is submit/wait overhead (scheduler noise on shared runners).
 TIMING_GATED = (
     "BM_EngineObjectiveSteadyState",
     "BM_EngineAggregateSteadyState",

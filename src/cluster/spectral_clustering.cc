@@ -35,19 +35,12 @@ Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
                               SpectralWorkspace* workspace,
                               std::vector<int32_t>* out,
                               const util::ShardContext* shards,
-                              const la::DenseMatrix* warm_start,
-                              la::DenseMatrix* ritz_out,
                               la::LanczosStats* stats) {
   if (k < 1) return InvalidArgument("spectral embedding needs k >= 1");
-  la::LanczosOptions lanczos;
-  lanczos.warm_start = warm_start;
   const Status solved = la::SmallestEigenpairsInto(
-      la::CsrSpmvOperator(laplacian, shards), k, kSpectrumUpperBound, lanczos,
+      la::CsrSpmvOperator(laplacian, shards), k, kSpectrumUpperBound, {},
       &workspace->lanczos, &workspace->eigen, stats);
   if (!solved.ok()) return solved;
-  // Banked *before* row normalization: normalizing is irreversible and the
-  // normalized rows no longer span the Ritz subspace a warm start needs.
-  if (ritz_out != nullptr) *ritz_out = workspace->eigen.vectors;
   la::NormalizeRows(&workspace->eigen.vectors);
   KMeansInto(workspace->eigen.vectors, k, kmeans, &workspace->kmeans,
              &workspace->kmeans_result, shards);

@@ -40,22 +40,13 @@ Result<std::vector<int32_t>> SpectralClustering(
 /// eigensolve then applies the Laplacian one row-shard SpMV job at a time
 /// (la::CsrSpmvOperator) and the k-means assignment pass runs sharded too
 /// (see the sharded KMeansInto). Labels are bit-identical to the unsharded
-/// call at any shard and thread count.
-///
-/// The trailing out/in params serve the engine's warm-start bank:
-/// `warm_start` seeds the embedding eigensolve with banked eigenvectors of a
-/// previous solve (see la::LanczosOptions::warm_start — same caveats: fewer
-/// iterations, not bit-identical); `ritz_out`, when non-null, receives the
-/// *un-normalized* embedding eigenvectors before row normalization destroys
-/// the Ritz subspace, exactly what a later warm start needs; `stats` exposes
-/// the eigensolve's iteration counts.
+/// call at any shard and thread count. `stats`, when non-null, receives the
+/// embedding eigensolve's iteration counts.
 Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
                               const KMeansOptions& kmeans,
                               SpectralWorkspace* workspace,
                               std::vector<int32_t>* out,
                               const util::ShardContext* shards = nullptr,
-                              const la::DenseMatrix* warm_start = nullptr,
-                              la::DenseMatrix* ritz_out = nullptr,
                               la::LanczosStats* stats = nullptr);
 
 }  // namespace cluster

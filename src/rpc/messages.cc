@@ -306,7 +306,7 @@ bool DecodeSolveRequest(WireReader* r, SolveWireRequest* msg) {
   if (algorithm > static_cast<uint8_t>(serve::Algorithm::kSglaPlus)) {
     return false;
   }
-  if (quality > static_cast<uint8_t>(serve::Quality::kRefined)) return false;
+  if (quality > static_cast<uint8_t>(serve::Quality::kFast)) return false;
   msg->mode = static_cast<serve::SolveMode>(mode);
   msg->algorithm = static_cast<serve::Algorithm>(algorithm);
   msg->warm_start = warm_start != 0;
@@ -340,7 +340,7 @@ bool DecodeSolveReply(WireReader* r, SolveReply* msg) {
       !r->I64(&msg->lanczos_iterations) || !r->U8(&msg->tier_served)) {
     return false;
   }
-  if (msg->tier_served > static_cast<uint8_t>(serve::Quality::kRefined)) {
+  if (msg->tier_served > static_cast<uint8_t>(serve::Quality::kFast)) {
     return false;
   }
   if (!r->I32(&msg->active_views) || !r->I32(&msg->total_views)) return false;

@@ -23,8 +23,8 @@ namespace rpc {
 /// struct.
 ///
 /// Deliberate scope: the Solve payload carries exactly the request-key
-/// fields (graph_id, mode, algorithm, k, warm_start) and no solver tuning —
-/// server-side options stay at their defaults, which is what makes
+/// fields (graph_id, mode, algorithm, k, quality, robust) and no solver
+/// tuning — server-side options stay at their defaults, which is what makes
 /// key-based request coalescing exact (two wire-identical solves are
 /// semantically identical).
 
@@ -64,13 +64,17 @@ struct SolveWireRequest {
   serve::SolveMode mode = serve::SolveMode::kCluster;
   serve::Algorithm algorithm = serve::Algorithm::kSgla;
   int32_t k = 0;  ///< 0 = the graph's registered default
+  /// Kept in its wire slot for older clients; the server accepts and ignores
+  /// it (every solve runs cold, so a request means the same either way and
+  /// coalesces regardless of this flag).
   bool warm_start = false;
   /// Ask the server to coalesce with identical in-flight solves (default on:
   /// wire-identical requests are semantically identical; see above). The
   /// coalescing key includes `quality`, so a fast solve in flight never
   /// answers an exact request.
   bool coalesce = true;
-  /// Serving tier (see serve::Quality). Graphs without a coarse companion
+  /// Serving tier (see serve::Quality): 0 exact, 1 fast. Any other value
+  /// fails to decode (INVALID_ARGUMENT). Graphs without a coarse companion
   /// quietly serve exact; the reply's tier_served says what actually ran.
   serve::Quality quality = serve::Quality::kExact;
   /// Run the robust objective (serve::SolveRequest::robust; ORed with the
@@ -82,9 +86,11 @@ struct SolveReply {
   uint8_t mode = 0;  ///< serve::SolveMode of the payload
   la::Vector weights;
   int64_t graph_epoch = 0;
+  /// Kept in its wire slot for older clients; the server always sends 0.
   bool warm_started = false;
   int64_t lanczos_iterations = 0;
-  /// serve::Quality that actually served the solve (kExact on fallback).
+  /// serve::Quality that actually served the solve (kExact on fallback);
+  /// values above kFast fail to decode.
   uint8_t tier_served = 0;
   /// View-lifecycle visibility: views the solve served over / resident
   /// total (serve::SolveStats::active_views / total_views).

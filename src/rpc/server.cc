@@ -345,7 +345,6 @@ void Server::DispatchSolve(Connection* conn, uint64_t request_id,
   request.mode = wire.mode;
   request.algorithm = wire.algorithm;
   request.k = wire.k;
-  request.warm_start = wire.warm_start;
   request.quality = wire.quality;
   request.robust = wire.robust;
 
@@ -368,7 +367,6 @@ void Server::DispatchSolve(Connection* conn, uint64_t request_id,
           reply.mode = mode;
           reply.weights = result->integration.weights;
           reply.graph_epoch = result->stats.graph_epoch;
-          reply.warm_started = result->stats.warm_started;
           reply.lanczos_iterations = result->stats.lanczos_iterations;
           reply.tier_served = static_cast<uint8_t>(result->stats.tier_served);
           reply.active_views = result->stats.active_views;

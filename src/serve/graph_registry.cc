@@ -1,6 +1,5 @@
 #include "serve/graph_registry.h"
 
-#include <atomic>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -8,11 +7,6 @@
 namespace sgla {
 namespace serve {
 namespace {
-
-uint64_t NextLineage() {
-  static std::atomic<uint64_t> counter{0};
-  return ++counter;
-}
 
 // Coarse-companion policy. Once the structurally-changed fine rows summed
 // over the deltas since a plan was last built from scratch pass this
@@ -93,9 +87,9 @@ Result<la::CsrMatrix> ContractOneView(const GraphEntry& entry,
 // thread (ThreadPool::InlineScope: same chunks, same bits), not on the
 // kernel pool. The pool runs one job at a time, so each parallel pass of a
 // write would stall the kernels of every solve running beside it: on
-// update_stream, pool-parallel builds here made the concurrent warm
-// re-solves 35-145% slower. An attribute view's KNN keeps the pool, as
-// before (inline, it doubled an attribute write). Registration and
+// update_stream, pool-parallel builds here made the concurrent re-solves
+// 35-145% slower. An attribute view's KNN keeps the pool, as before
+// (inline, it doubled an attribute write). Registration and
 // recovery, which no solve of the graph overlaps, build on the pool.
 Result<la::CsrMatrix> EpochViewLaplacian(const core::MultiViewGraph& mvag,
                                          size_t view,
@@ -280,7 +274,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<GraphEntry>();
   entry->id = id;
-  entry->lineage = NextLineage();
   entry->num_nodes = mvag.num_nodes();
   entry->num_clusters = mvag.num_clusters();
   entry->views = std::move(*views);
@@ -310,14 +303,11 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
     const std::string& id, const core::MultiViewGraph& mvag,
     const RegisterOptions& options, const RestoreState& state) {
   // Identical to Register except the checkpointed epoch/uids/mask replace
-  // the registration defaults. Lineage is process-local and deliberately NOT
-  // restored: a recovered entry is a new registration as far as warm-start
-  // caches are concerned (their seeds died with the old process anyway).
+  // the registration defaults.
   auto views = core::ComputeViewLaplacians(mvag, options.knn);
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<GraphEntry>();
   entry->id = id;
-  entry->lineage = NextLineage();
   entry->num_nodes = mvag.num_nodes();
   entry->num_clusters = mvag.num_clusters();
   entry->views = std::move(*views);
@@ -381,7 +371,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::RegisterViews(
   }
   auto entry = std::make_shared<GraphEntry>();
   entry->id = id;
-  entry->lineage = NextLineage();
   entry->num_nodes = views[0].rows;
   entry->num_clusters = num_clusters;
   entry->views = std::move(views);
@@ -448,7 +437,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   // recompute — attribute rows re-run that one view's KNN, nothing else.
   auto entry = std::make_shared<GraphEntry>();
   entry->id = id;
-  entry->lineage = old->lineage;  // same registration, next epoch
   entry->epoch = old->epoch + 1;
   entry->num_nodes = old->num_nodes;
   entry->num_clusters = old->num_clusters;

@@ -41,12 +41,11 @@ struct RegisterOptions {
   /// then fails with FailedPrecondition like a RegisterViews entry.
   bool updatable = true;
   /// Coarse-companion reduction ratio for the tiered serving path (see
-  /// DESIGN.md "Tiered serving"): the first fast/refined solve of an epoch
-  /// builds a multilevel heavy-edge coarsening of the union pattern
-  /// targeting ~ratio * n coarse rows, and quality=fast/refined solves run
-  /// on it. 0 disables the companion (tiered requests then quietly serve
-  /// exact). Tiny graphs, and graphs whose matching cannot shrink them,
-  /// skip the companion too.
+  /// DESIGN.md "Tiered serving"): the first fast solve of an epoch builds a
+  /// multilevel heavy-edge coarsening of the union pattern targeting
+  /// ~ratio * n coarse rows, and quality=fast solves run on it. 0 disables
+  /// the companion (fast requests then quietly serve exact). Tiny graphs,
+  /// and graphs whose matching cannot shrink them, skip the companion too.
   double coarsen_ratio = 0.1;
   /// Serve every solve of this graph in robust mode by default (see
   /// core::ObjectiveOptions::robust and DESIGN.md "View lifecycle & robust
@@ -62,9 +61,8 @@ struct RegisterOptions {
 /// per-view Laplacians on the coarse node set, and an aggregator over them.
 /// Immutable and shared exactly like the entry that owns it; quality=fast
 /// solves run the unmodified SGLA pipeline against `aggregator` in a
-/// coarse-sized workspace and prolongate the result, quality=refined seeds
-/// the exact solve from it. Coarse graphs are never sharded — they are small
-/// by construction.
+/// coarse-sized workspace and prolongate the result. Coarse graphs are never
+/// sharded — they are small by construction.
 struct CoarseGraphEntry {
   coarse::CoarsePlan plan;
   std::vector<la::CsrMatrix> views;
@@ -83,7 +81,7 @@ struct CoarseGraphEntry {
 /// The coarse companion slot of a GraphEntry: built on first use, at most
 /// once, then shared by every reader. Registration, recovery and updates
 /// only arm the build (`Defer`); the first dereference — the engine's tier
-/// resolution for a fast/refined request, or any caller of get()/->/*/bool
+/// resolution for a fast request, or any caller of get()/->/*/bool
 /// or a nullptr comparison — runs it, and concurrent first readers wait for
 /// that one build and see the same pointer. A companion an update
 /// maintained from its predecessor's arrives already built (`Install`).
@@ -135,13 +133,6 @@ class CoarseCompanion {
 /// one entry.
 struct GraphEntry {
   std::string id;
-  /// Process-unique registration identity, assigned by Register and carried
-  /// unchanged through every UpdateGraph epoch. Distinguishes "same graph,
-  /// later epoch" (lineage equal) from "same id re-registered after evict"
-  /// (lineage differs) — the warm-start cache keys its validity on this, so
-  /// a solve that finishes after its graph was evicted and replaced can
-  /// never seed solves of the replacement.
-  uint64_t lineage = 0;
   /// Generation number: 0 at registration, +1 per applied UpdateGraph delta.
   /// Entries are immutable — an update publishes a *new* entry under the
   /// same id; solves that hold the old epoch's snapshot finish on it.
@@ -161,9 +152,8 @@ struct GraphEntry {
   /// by MaskView/UnmaskView deltas.
   std::vector<bool> active;
   /// Order-sensitive FNV-1a fold of the ACTIVE view uids — the active-set
-  /// epoch stamp. SolveCache entries carry it so a warm seed (whose weight
-  /// vector and spectrum are functions of the active subset) can never leak
-  /// across a lifecycle change; bitdump prints it as the active-set
+  /// epoch stamp. Checkpoints persist it (Restore cross-checks it against
+  /// the rebuilt entry) and bitdump prints it as the active-set
   /// fingerprint.
   uint64_t views_signature = 0;
   /// Compacted active-view Laplacians, populated ONLY when some view is
@@ -204,7 +194,7 @@ struct GraphEntry {
   /// their predecessor's pointer. Null when the graph has no attribute
   /// views, no update source (RegisterViews) or can never get a companion.
   std::shared_ptr<const std::vector<la::DenseMatrix>> attributes;
-  /// Built from this epoch's state on first fast/refined use (see
+  /// Built from this epoch's state on first fast use (see
   /// CoarseCompanion), unless UpdateGraph maintained it from the previous
   /// epoch's built companion. Null iff the graph was registered with
   /// coarsen_ratio = 0, is tiny, or the matching achieved no reduction.
@@ -223,7 +213,7 @@ struct RestoreState {
   uint64_t next_view_uid = 0;       ///< 0 = V + 1
   /// Expected active-set signature; 0 skips the check. A mismatch means the
   /// checkpoint and the rebuilt state disagree — Restore fails rather than
-  /// serve a graph whose warm-seed stamps would lie.
+  /// serve a graph that contradicts its own checkpoint.
   uint64_t views_signature = 0;
 };
 

@@ -8,9 +8,8 @@
 // a fresh re-registration bit for bit; small pattern deltas repair in place
 // until their summed churn passes the limit), the lazy companion (only a
 // first use builds it, a late build reads its own epoch, concurrent first
-// uses build once), the refined tier's strictly-fewer-Lanczos-iterations
-// contract, and the zero-allocation steady state of the coarse serving
-// kernels.
+// uses build once), and the zero-allocation steady state of the coarse
+// serving kernels.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -1088,43 +1087,6 @@ TEST(LazyCompanionTest, ConcurrentFirstUsesBuildOnce) {
   for (const serve::CoarseGraphEntry* p : from_entry) {
     EXPECT_EQ(p, from_entry[0]);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Refined tier
-// ---------------------------------------------------------------------------
-
-TEST(RefinedTierTest, UsesStrictlyFewerLanczosIterationsThanColdExact) {
-  // The refined contract holds on crisply-clustered inputs — prolongated
-  // coarse Ritz vectors only approximate fine eigenvectors when they are
-  // near piecewise-constant — so the fixture mirrors the CI nmi-gap gate's.
-  // n is big enough that the coarse companion (n/10 rows) clears the dense
-  // fallback threshold: the pre-solve must itself run Lanczos, both so
-  // coarse_lanczos_iterations is observable and so the banked Ritz seeds
-  // come from the same solver family they are warming.
-  const int64_t n = 1200;
-  const int k = 3;
-  Rng rng(111);
-  std::vector<int32_t> truth = data::BalancedLabels(n, k, &rng);
-  core::MultiViewGraph mvag(n, k);
-  mvag.AddGraphView(data::SbmGraph(truth, k, 0.10, 0.01, &rng));
-  mvag.AddAttributeView(data::GaussianAttributes(truth, k, 8, 3.0, 0.9, &rng));
-  serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", mvag).ok());
-  serve::Engine engine(&registry);
-
-  const serve::SolveResponse exact =
-      SolveTier(&engine, "g", serve::Quality::kExact);
-  const serve::SolveResponse refined =
-      SolveTier(&engine, "g", serve::Quality::kRefined);
-
-  EXPECT_EQ(refined.stats.tier_served, serve::Quality::kRefined);
-  ASSERT_EQ(refined.labels.size(), static_cast<size_t>(1200));
-  EXPECT_EQ(refined.integration.laplacian.rows, 1200);  // exact-sized output
-  EXPECT_GT(refined.stats.coarse_lanczos_iterations, 0);
-  EXPECT_GT(exact.stats.lanczos_iterations, 0);
-  // The seeded exact solve must beat the cold one outright.
-  EXPECT_LT(refined.stats.lanczos_iterations, exact.stats.lanczos_iterations);
 }
 
 // ---------------------------------------------------------------------------

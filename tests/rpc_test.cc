@@ -300,6 +300,14 @@ TEST(MessagesTest, SolveMessagesRoundTripAndValidateEnums) {
   WireWriter w;
   EncodeSolveRequest(msg, &w);
   std::vector<uint8_t> buffer = w.TakeBuffer();
+  // Byte layout: u32 length + "g", mode, algorithm, i32 k, then the
+  // warm_start, coalesce, quality and robust bytes. warm_start keeps its
+  // slot (older clients still send it) even though the server ignores it.
+  ASSERT_EQ(buffer.size(), 15u);
+  EXPECT_EQ(buffer[11], 1);  // warm_start
+  EXPECT_EQ(buffer[12], 0);  // coalesce
+  EXPECT_EQ(buffer[13], 1);  // quality = kFast
+  EXPECT_EQ(buffer[14], 1);  // robust
   {
     WireReader r(buffer.data(), buffer.size());
     SolveWireRequest decoded;
@@ -320,21 +328,23 @@ TEST(MessagesTest, SolveMessagesRoundTripAndValidateEnums) {
     SolveWireRequest decoded;
     EXPECT_FALSE(DecodeSolveRequest(&r, &decoded));
   }
-  {  // out-of-range quality byte (before the trailing robust flag) too
+  // Out-of-range quality bytes (before the trailing robust flag) too,
+  // including 2, the retired refined tier.
+  for (uint8_t quality : {2, 200}) {
     std::vector<uint8_t> corrupt = buffer;
-    corrupt[corrupt.size() - 2] = 200;
+    corrupt[corrupt.size() - 2] = quality;
     WireReader r(corrupt.data(), corrupt.size());
     SolveWireRequest decoded;
-    EXPECT_FALSE(DecodeSolveRequest(&r, &decoded));
+    EXPECT_FALSE(DecodeSolveRequest(&r, &decoded)) << int{quality};
   }
 
   SolveReply reply;
   reply.mode = static_cast<uint8_t>(serve::SolveMode::kCluster);
   reply.weights = {0.25, 0.75};
   reply.graph_epoch = 3;
-  reply.warm_started = true;
+  reply.warm_started = true;  // old servers could send 1; it still decodes
   reply.lanczos_iterations = 42;
-  reply.tier_served = static_cast<uint8_t>(serve::Quality::kRefined);
+  reply.tier_served = static_cast<uint8_t>(serve::Quality::kFast);
   reply.labels = {0, 1, 1, 0};
   WireWriter wr;
   EncodeSolveReply(reply, &wr);
@@ -349,15 +359,17 @@ TEST(MessagesTest, SolveMessagesRoundTripAndValidateEnums) {
   EXPECT_EQ(decoded.tier_served, reply.tier_served);
   EXPECT_EQ(decoded.labels, reply.labels);
 
-  {  // an out-of-range tier_served byte from a hostile server is rejected
+  // An out-of-range tier_served byte from a hostile server is rejected,
+  // including 2, the retired refined tier.
+  for (uint8_t tier : {2, 200}) {
     SolveReply hostile = reply;
-    hostile.tier_served = 200;
+    hostile.tier_served = tier;
     WireWriter hw;
     EncodeSolveReply(hostile, &hw);
     std::vector<uint8_t> hostile_buffer = hw.TakeBuffer();
     WireReader hr(hostile_buffer.data(), hostile_buffer.size());
     SolveReply rejected;
-    EXPECT_FALSE(DecodeSolveReply(&hr, &rejected));
+    EXPECT_FALSE(DecodeSolveReply(&hr, &rejected)) << int{tier};
   }
 }
 
@@ -687,6 +699,127 @@ TEST_F(RpcServingTest, FastTierSolvesOverTheWireEchoTierServed) {
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
   EXPECT_EQ(fallback->tier_served,
             static_cast<uint8_t>(serve::Quality::kExact));
+}
+
+TEST_F(RpcServingTest, WarmStartFlagIsIgnoredAndEverySolveRunsCold) {
+  StartServing({});
+  ASSERT_TRUE(RegisterFixture("g", 200).ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  SolveWireRequest request;
+  request.graph_id = "g";
+  request.coalesce = false;  // every request is a physical solve
+  ASSERT_TRUE(client.Solve(request).ok());
+
+  // A small delta after a completed solve: the case a warm start would seed.
+  UpdateRequest update;
+  update.id = "g";
+  serve::GraphViewDelta view_delta;
+  view_delta.view = 0;
+  view_delta.upserts.push_back({0, 1, 1.5});
+  update.delta.graph_views.push_back(view_delta);
+  ASSERT_TRUE(client.Update(update).ok());
+
+  request.warm_start = true;
+  auto warm = client.Solve(request);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  request.warm_start = false;
+  auto cold = client.Solve(request);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  serve::SolveRequest direct;
+  direct.graph_id = "g";
+  auto reference = engine_->Solve(direct);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  EXPECT_FALSE(warm->warm_started);
+  EXPECT_FALSE(cold->warm_started);
+  EXPECT_EQ(warm->graph_epoch, 1);
+  EXPECT_EQ(warm->weights, cold->weights);
+  EXPECT_EQ(warm->labels, cold->labels);
+  EXPECT_EQ(warm->lanczos_iterations, cold->lanczos_iterations);
+  EXPECT_EQ(warm->weights, reference->integration.weights);
+  EXPECT_EQ(warm->labels, reference->labels);
+  EXPECT_EQ(warm->lanczos_iterations, reference->stats.lanczos_iterations);
+}
+
+TEST_F(RpcServingTest, RetiredRefinedQualityIsTypedInvalidArgument) {
+  StartServing({});
+  ASSERT_TRUE(RegisterFixture("g").ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  SolveWireRequest request;
+  request.graph_id = "g";
+  request.quality = static_cast<serve::Quality>(2);  // the old refined tier
+  auto rejected = client.Solve(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  // The connection survives the rejected frame.
+  EXPECT_TRUE(client.Ping().ok());
+  request.quality = serve::Quality::kExact;
+  auto served = client.Solve(request);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->labels.size(), 60u);
+}
+
+TEST_F(RpcServingTest, CoalescingKeySeparatesRobustQualityAndKButNotWarmStart) {
+  serve::EngineOptions engine_options;
+  engine_options.num_sessions = 1;
+  StartServing(engine_options);
+  ASSERT_TRUE(RegisterFixture("g").ok());
+
+  auto gate = std::make_shared<SolveGate>();
+  engine_->SetSolveHookForTest(
+      [gate](const serve::SolveRequest&) { gate->Block(); });
+
+  struct Sent {
+    SolveWireRequest request;
+    std::vector<int32_t> labels;
+    bool ok = false;
+  };
+  std::vector<Sent> sent(5);
+  for (Sent& s : sent) s.request.graph_id = "g";
+  sent[1].request.warm_start = true;  // same key as the leader: joins
+  sent[2].request.robust = true;
+  sent[3].request.quality = serve::Quality::kFast;
+  sent[4].request.k = 2;
+
+  std::vector<std::thread> threads;
+  const auto send = [&](size_t i) {
+    threads.emplace_back([&, i] {
+      Client client;
+      if (!client.Connect("127.0.0.1", server_->port()).ok()) return;
+      auto reply = client.Solve(sent[i].request);
+      if (!reply.ok()) return;
+      sent[i].labels = reply->labels;
+      sent[i].ok = true;
+    });
+  };
+  // While the leader is held, every arriving request either joins a flight
+  // (coalesced) or is admitted as a physical solve (pending).
+  const auto wait_accounted = [this](int64_t requests) {
+    while (engine_->pending() + engine_->coalesced() < requests) {
+      std::this_thread::yield();
+    }
+  };
+  send(0);  // the leader, held in the hook
+  wait_accounted(1);
+  send(1);
+  wait_accounted(2);
+  EXPECT_EQ(engine_->coalesced(), 1);
+  // Each request differing only in robust, quality or k is admitted as a
+  // physical solve of its own instead of joining the leader.
+  for (size_t i = 2; i < sent.size(); ++i) send(i);
+  wait_accounted(5);
+  EXPECT_EQ(engine_->pending(), 4);
+  EXPECT_EQ(engine_->coalesced(), 1);
+  gate->Open();
+  for (auto& t : threads) t.join();
+
+  for (const Sent& s : sent) EXPECT_TRUE(s.ok);
+  EXPECT_EQ(engine_->completed(), 4);
+  EXPECT_EQ(engine_->coalesced(), 1);
+  EXPECT_EQ(sent[1].labels, sent[0].labels);
 }
 
 TEST_F(RpcServingTest, IdenticalInflightSolvesCoalesceIntoOnePhysicalSolve) {

@@ -1,13 +1,11 @@
 // Incremental-update tests: GraphDelta application, copy-on-write epochs,
 // value-only vs pattern-changing delta handling (pattern_id stamp reuse,
-// per-shard selective rebuild), warm-started eigensolves (strictly fewer
-// Lanczos iterations, same eigenpairs within tolerance, at SGLA_THREADS=1,4
-// x shards=1,4), the zero-allocation hot path of a value-only update +
-// warm re-solve, UpdateGraph racing evict/re-register (TSAN-clean), and the
-// seeded-random updated == fresh oracle over mixed delta streams.
+// per-shard selective rebuild), the zero-allocation hot path of a
+// value-only update + re-solve, UpdateGraph racing evict/re-register
+// (TSAN-clean), and the seeded-random updated == fresh oracle over mixed
+// delta streams.
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,8 +23,6 @@
 #include "core/objective.h"
 #include "core/view_laplacian.h"
 #include "data/generator.h"
-#include "eval/clustering_metrics.h"
-#include "la/lanczos.h"
 #include "serve/engine.h"
 #include "serve/graph_delta.h"
 #include "serve/graph_registry.h"
@@ -36,8 +32,8 @@
 
 // ---------------------------------------------------------------------------
 // Allocation-counting hook (same scheme as engine_test.cc): operator new
-// bumps a counter so tests can assert the value-only update + warm re-solve
-// hot path allocates nothing.
+// bumps a counter so tests can assert the value-only update + re-solve hot
+// path allocates nothing.
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<int64_t> g_allocations{0};
@@ -144,12 +140,10 @@ void ExpectSameIntegration(const core::IntegrationResult& a,
   EXPECT_EQ(a.objective_history, b.objective_history);
 }
 
-/// Cold-solves `id` on `engine` and returns the response.
-serve::SolveResponse Solve(serve::Engine* engine, const std::string& id,
-                           bool warm = false) {
+/// Solves `id` on `engine` and returns the response.
+serve::SolveResponse Solve(serve::Engine* engine, const std::string& id) {
   serve::SolveRequest request;
   request.graph_id = id;
-  request.warm_start = warm;
   request.options = FastOptions();
   auto response = engine->Solve(request);
   EXPECT_TRUE(response.ok()) << response.status().ToString();
@@ -412,115 +406,13 @@ TEST(UpdateGraphTest, AttributeRowUpdateRecomputesOnlyThatView) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-started eigensolves: after a <=1% edge delta a warm solve must build
-// strictly fewer Lanczos basis vectors than a cold solve on the same updated
-// graph and land on the same eigenpairs within tolerance — at every
-// (threads, shards) combination, with the warm result itself bit-identical
-// across the combinations.
+// Zero-allocation hot path: steady-state value-only update + re-solve. The
+// epoch swap itself builds a new entry (control path, allocates); the HOT
+// path — re-scattering values through the donor pattern and the eigensolve
+// in a bound workspace — must not touch the heap.
 // ---------------------------------------------------------------------------
 
-TEST(WarmStartTest, FewerIterationsSameEigenpairsAcrossThreadsAndShards) {
-  const int64_t n = 1800;
-  const int k = 3;
-  UpdateFixture f = UpdateFixture::Make(n, k, 37);
-  auto views_before = core::ComputeViewLaplacians(f.mvag);
-  ASSERT_TRUE(views_before.ok());
-
-  // <=1% of view 0's edges get a small weight nudge (value-only).
-  const size_t count =
-      static_cast<size_t>(f.mvag.graph_views()[0].num_edges() / 100);
-  const serve::GraphDelta delta = WeightDelta(f.mvag, count, 1.1);
-  std::vector<bool> affected;
-  ASSERT_TRUE(serve::ApplyDelta(&f.mvag, delta, &affected).ok());
-  auto views_after = core::ComputeViewLaplacians(f.mvag);
-  ASSERT_TRUE(views_after.ok());
-
-  const std::vector<double> weights = {0.6, 0.4};
-  la::Vector warm_values_reference;
-  bool have_reference = false;
-
-  ThreadCountGuard guard;
-  for (int threads : {1, 4}) {
-    util::ThreadPool::SetGlobalThreads(threads);
-    for (int shards : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " shards=" + std::to_string(shards));
-      serve::ShardPlan plan = serve::MakeShardPlan(n, shards);
-
-      // Pre-update solve supplies the warm seed.
-      core::EvalWorkspace seed_ws;
-      core::LaplacianAggregator seed_aggregator(&*views_before);
-      core::SpectralObjective seed_objective(&seed_aggregator, k,
-                                             core::ObjectiveOptions(),
-                                             &seed_ws);
-      ASSERT_TRUE(seed_objective.Evaluate(weights).ok());
-      const la::DenseMatrix seed_vectors = seed_ws.eigen.vectors;
-
-      // Post-update cold evaluation (the baseline the warm one must beat).
-      core::LaplacianAggregator aggregator(&*views_after, plan.boundaries);
-      core::EvalWorkspace cold_ws;
-      core::SpectralObjective cold_objective(&aggregator, k,
-                                             core::ObjectiveOptions(),
-                                             &cold_ws);
-      auto cold = cold_objective.Evaluate(weights);
-      ASSERT_TRUE(cold.ok());
-      ASSERT_GT(cold->lanczos_iterations, 0);
-      const la::Eigenpairs& cold_eigen = cold_ws.eigen;
-
-      // Post-update warm evaluation.
-      core::EvalWorkspace warm_ws;
-      core::ObjectiveOptions warm_options;
-      warm_options.warm_start = &seed_vectors;
-      core::SpectralObjective warm_objective(&aggregator, k, warm_options,
-                                             &warm_ws);
-      auto warm = warm_objective.Evaluate(weights);
-      ASSERT_TRUE(warm.ok());
-      const la::Eigenpairs& warm_eigen = warm_ws.eigen;
-
-      // Strictly fewer basis vectors, same spectrum within tolerance. The
-      // first k pairs (what the pipeline consumes as vectors) must agree
-      // tightly in value and direction. The k+1-th pair sits at the edge of
-      // the spectral bulk, where the solver by design serves a subspace-
-      // size-accurate approximation instead of iterating to convergence
-      // (see DESIGN.md "Eigensolver early exit"): its value only feeds the
-      // eigengap denominator, so it is compared at the optimizer's epsilon
-      // scale and its direction not at all.
-      EXPECT_LT(warm->lanczos_iterations, cold->lanczos_iterations);
-      ASSERT_EQ(warm_eigen.values.size(), cold_eigen.values.size());
-      for (size_t j = 0; j < cold_eigen.values.size(); ++j) {
-        const bool tail = j + 1 == cold_eigen.values.size();
-        EXPECT_NEAR(warm_eigen.values[j], cold_eigen.values[j],
-                    tail ? 1e-3 : 1e-6);
-        if (tail) continue;
-        double dot = 0.0;
-        for (int64_t i = 0; i < n; ++i) {
-          dot += warm_eigen.vectors(i, static_cast<int64_t>(j)) *
-                 cold_eigen.vectors(i, static_cast<int64_t>(j));
-        }
-        EXPECT_GT(std::fabs(dot), 1.0 - 1e-4)
-            << "eigenvector " << j << " diverged";
-      }
-
-      // The warm result is itself deterministic: identical bits at every
-      // (threads, shards) combination.
-      if (!have_reference) {
-        warm_values_reference = warm_eigen.values;
-        have_reference = true;
-      } else {
-        EXPECT_EQ(warm_eigen.values, warm_values_reference);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Zero-allocation hot path: steady-state value-only update + warm re-solve.
-// The epoch swap itself builds a new entry (control path, allocates); the
-// HOT path — re-scattering values through the donor pattern and the
-// warm-seeded eigensolve in a bound workspace — must not touch the heap.
-// ---------------------------------------------------------------------------
-
-TEST(UpdateAllocationTest, ValueOnlyUpdateWarmResolveHotPathAllocatesNothing) {
+TEST(UpdateAllocationTest, ValueOnlyUpdateResolveHotPathAllocatesNothing) {
   UpdateFixture f = UpdateFixture::Make(1200, 3, 41);
   auto views_before = core::ComputeViewLaplacians(f.mvag);
   ASSERT_TRUE(views_before.ok());
@@ -541,110 +433,26 @@ TEST(UpdateAllocationTest, ValueOnlyUpdateWarmResolveHotPathAllocatesNothing) {
   ThreadCountGuard guard;
   for (int threads : {1, 4}) {
     util::ThreadPool::SetGlobalThreads(threads);
+    // The workspace is bound to the pre-update pattern; the shared
+    // pattern_id lets the post-update objective reuse that binding.
     core::EvalWorkspace ws;
-    core::SpectralObjective seed_objective(&before_aggregator, 3,
-                                           core::ObjectiveOptions(), &ws);
-    ASSERT_TRUE(seed_objective.Evaluate(w1).ok());
-    ASSERT_TRUE(seed_objective.Evaluate(w2).ok());
-    const la::DenseMatrix seed_vectors = ws.eigen.vectors;  // pre-update
+    core::SpectralObjective before_objective(&before_aggregator, 3,
+                                             core::ObjectiveOptions(), &ws);
+    ASSERT_TRUE(before_objective.Evaluate(w1).ok());
+    ASSERT_TRUE(before_objective.Evaluate(w2).ok());
 
-    core::ObjectiveOptions warm_options;
-    warm_options.warm_start = &seed_vectors;
-    core::SpectralObjective warm_objective(&after_aggregator, 3, warm_options,
-                                           &ws);
-    // Warm-up: sizes the warm-seed buffer and the early-exit scratch.
-    ASSERT_TRUE(warm_objective.Evaluate(w1).ok());
-    ASSERT_TRUE(warm_objective.Evaluate(w2).ok());
-
+    core::SpectralObjective objective(&after_aggregator, 3,
+                                      core::ObjectiveOptions(), &ws);
     const int64_t before = g_allocations.load(std::memory_order_relaxed);
     for (int i = 0; i < 10; ++i) {
-      auto value = warm_objective.Evaluate(i % 2 == 0 ? w1 : w2);
+      auto value = objective.Evaluate(i % 2 == 0 ? w1 : w2);
       ASSERT_TRUE(value.ok());
       ASSERT_TRUE(value->lanczos_iterations > 0);
     }
     const int64_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0)
-        << "warm re-solve hot path allocated at threads=" << threads;
+        << "value-only re-solve hot path allocated at threads=" << threads;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Engine-level warm solves
-// ---------------------------------------------------------------------------
-
-TEST(EngineUpdateTest, WarmSolveAfterSmallDeltaBeatsColdAndAgrees) {
-  UpdateFixture f = UpdateFixture::Make(1800, 3, 43);
-  const size_t count =
-      static_cast<size_t>(f.mvag.graph_views()[0].num_edges() / 100);
-  const serve::GraphDelta delta = WeightDelta(f.mvag, count, 1.1);
-
-  // Engine A: solve cold (banks the seed), apply the delta, solve warm.
-  serve::GraphRegistry registry;
-  serve::Engine engine(&registry);
-  ASSERT_TRUE(engine.RegisterGraph("g", f.mvag).ok());
-  const serve::SolveResponse cold_before = Solve(&engine, "g");
-  EXPECT_FALSE(cold_before.stats.warm_started);
-  EXPECT_EQ(cold_before.stats.graph_epoch, 0);
-
-  auto updated = engine.UpdateGraph("g", delta);
-  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  EXPECT_EQ((*updated)->epoch, 1);
-
-  // Independent cold baseline on the post-delta graph (a separate engine so
-  // its solve cannot touch A's warm bank).
-  core::MultiViewGraph scratch_mvag = f.mvag;
-  std::vector<bool> affected;
-  ASSERT_TRUE(serve::ApplyDelta(&scratch_mvag, delta, &affected).ok());
-  serve::GraphRegistry scratch_registry;
-  serve::Engine scratch_engine(&scratch_registry);
-  ASSERT_TRUE(scratch_engine.RegisterGraph("g", scratch_mvag).ok());
-  const serve::SolveResponse cold_after = Solve(&scratch_engine, "g");
-
-  const serve::SolveResponse warm = Solve(&engine, "g", /*warm=*/true);
-  EXPECT_TRUE(warm.stats.warm_started);
-  EXPECT_EQ(warm.stats.graph_epoch, 1);
-  EXPECT_GT(warm.stats.lanczos_iterations, 0);
-  EXPECT_LT(warm.stats.lanczos_iterations, cold_after.stats.lanczos_iterations)
-      << "warm solve should build fewer Lanczos vectors than a cold one";
-
-  // Warm solves trade bit-identity for speed but must land on an equivalent
-  // clustering of the updated graph.
-  const eval::ClusteringQuality quality =
-      eval::EvaluateClustering(warm.labels, cold_after.labels);
-  EXPECT_GE(quality.nmi, 0.9);
-}
-
-TEST(EngineUpdateTest, WarmRequestWithoutBankRunsCold) {
-  UpdateFixture f = UpdateFixture::Make(600, 2, 47);
-  serve::GraphRegistry registry;
-  serve::Engine engine(&registry);
-  ASSERT_TRUE(engine.RegisterGraph("g", f.mvag).ok());
-
-  // First-ever solve with warm_start requested: nothing banked yet, so it
-  // runs cold — and must therefore be bit-identical to an explicit cold one.
-  const serve::SolveResponse warm_requested = Solve(&engine, "g", true);
-  EXPECT_FALSE(warm_requested.stats.warm_started);
-
-  serve::GraphRegistry cold_registry;
-  serve::Engine cold_engine(&cold_registry);
-  ASSERT_TRUE(cold_engine.RegisterGraph("g", f.mvag).ok());
-  const serve::SolveResponse cold = Solve(&cold_engine, "g");
-  ExpectSameIntegration(warm_requested.integration, cold.integration);
-  EXPECT_EQ(warm_requested.labels, cold.labels);
-}
-
-TEST(EngineUpdateTest, EvictDropsTheWarmBank) {
-  UpdateFixture f = UpdateFixture::Make(600, 2, 53);
-  serve::GraphRegistry registry;
-  serve::Engine engine(&registry);
-  ASSERT_TRUE(engine.RegisterGraph("g", f.mvag).ok());
-  (void)Solve(&engine, "g");  // banks a seed
-
-  ASSERT_TRUE(engine.EvictGraph("g"));
-  ASSERT_TRUE(engine.RegisterGraph("g", f.mvag).ok());
-  const serve::SolveResponse warm_requested = Solve(&engine, "g", true);
-  EXPECT_FALSE(warm_requested.stats.warm_started)
-      << "eviction must invalidate the warm bank";
 }
 
 // ---------------------------------------------------------------------------
