@@ -145,7 +145,14 @@ void BM_ObjectiveEvaluation(benchmark::State& state) {
     w = w < 0.7 ? w + 0.05 : 0.3;
   }
 }
-BENCHMARK(BM_ObjectiveEvaluation)->Arg(2000)->Arg(8000);
+// Every evaluation after the first starts from the previous one's Ritz
+// vectors, as inside a weight search. Wall time: the eigensolve runs across
+// the pool.
+BENCHMARK(BM_ObjectiveEvaluation)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Arg(16000)
+    ->UseRealTime();
 
 void BM_KnnExact(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
@@ -162,16 +169,22 @@ BENCHMARK(BM_KnnExact)->Arg(2000);
 void BM_KnnRpForest(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
   graph::KnnOptions options;
-  options.k = 10;
+  options.k = static_cast<int>(state.range(1));
   options.exact_threshold = 1;  // force the approximate path
   for (auto _ : state) {
     graph::Graph g = graph::KnnGraph(f.attributes, options);
     benchmark::DoNotOptimize(g.num_edges());
   }
 }
-// The trees run across the pool: wall time, not the calling thread's
-// cpu_time.
-BENCHMARK(BM_KnnRpForest)->Arg(2000)->Arg(8000)->Arg(16000)->UseRealTime();
+// Args: nodes, k. The trees run across the pool: wall time, not the calling
+// thread's cpu_time. k = 1000 exceeds what the forest offers a node
+// (trees x (leaf_size - 1)), so every node keeps every distinct candidate.
+BENCHMARK(BM_KnnRpForest)
+    ->Args({2000, 10})
+    ->Args({8000, 10})
+    ->Args({16000, 10})
+    ->Args({8000, 1000})
+    ->UseRealTime();
 
 // A multi-view graph shaped like perfbench's: two SBM views and a 16-dim
 // Gaussian attribute view with separation 3 and noise 3 (update_stream's
@@ -208,6 +221,38 @@ void BM_ComputeViewLaplacians(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeViewLaplacians)
     ->Arg(8000)
+    ->Arg(16000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// One SGLA weight search shaped like perfbench solve_exact's: k = 5 and 10
+// objective evaluations (epsilon 0, so the search runs to its budget) on an
+// aggregator and workspace that persist across searches, as a registered
+// entry's do. Wall time: the eigensolves run across the pool.
+void BM_SglaWeightSearch(benchmark::State& state) {
+  const core::MultiViewGraph& mvag = PerfbenchShapedMvag(state.range(0));
+  auto views = core::ComputeViewLaplacians(mvag);
+  if (!views.ok()) {
+    state.SkipWithError(views.status().ToString().c_str());
+    return;
+  }
+  const core::LaplacianAggregator aggregator(&*views);
+  core::EvalWorkspace workspace;
+  core::SglaOptions options;
+  options.epsilon = 0.0;
+  options.max_evaluations = 10;
+  int64_t lanczos_vectors = 0;
+  for (auto _ : state) {
+    auto result = core::SglaOnAggregator(aggregator, 5, options, &workspace);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    lanczos_vectors = result->lanczos_iterations;
+  }
+  state.counters["lanczos_vectors"] = static_cast<double>(lanczos_vectors);
+}
+BENCHMARK(BM_SglaWeightSearch)
     ->Arg(16000)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

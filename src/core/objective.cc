@@ -5,6 +5,17 @@
 
 namespace sgla {
 namespace core {
+namespace {
+
+/// Convex combinations of normalized Laplacians keep the spectrum in [0, 2].
+constexpr double kSpectrumBound = 2.0;
+
+/// Absolute residual every evaluation solves lambda_1..lambda_{k+1} to. It
+/// does not follow SglaOptions::epsilon: epsilon 0 (a fixed evaluation
+/// budget) would then demand full convergence at several times the cost.
+constexpr double kEvalResidual = 3e-4;
+
+}  // namespace
 
 SpectralObjective::SpectralObjective(const std::vector<la::CsrMatrix>* views,
                                      int k, const ObjectiveOptions& options)
@@ -48,12 +59,18 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
     return InvalidArgument("view weights must lie on the simplex");
   }
 
-  // Convex combinations of normalized Laplacians keep the spectrum in [0, 2].
   la::LanczosOptions lanczos;
   lanczos.max_subspace = options_.lanczos_subspace;
+  lanczos.tolerance = kEvalResidual / kSpectrumBound;
   la::LanczosStats stats;
   const bool dense = la::UsesDenseFallback(aggregator_->pattern().rows, k_ + 1);
   AggregateIntoWorkspace(weights, /*with_sell=*/!dense);
+  // Every evaluation after the first starts from the previous one's k+1
+  // Ritz vectors: the weight search moves in small steps, so they are
+  // nearly the wanted ones. Only this objective's own evaluations count, so
+  // nothing carries over from an earlier objective on the same workspace.
+  const la::DenseMatrix* start =
+      evaluations_ > 0 ? &workspace_->eigen.vectors : nullptr;
   // Lanczos-sized problems route mat-vecs through the SELL form of the
   // aggregate (scalar-bit-identical to the CSR form; see la/sparse.h), one
   // job per shard of the aggregator's row partition; tiny ones densify the
@@ -62,7 +79,8 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
   const Status solved = la::SmallestEigenpairsInto(
       dense ? la::CsrSpmvOperator(workspace_->aggregate)
             : la::SellSpmvOperator(workspace_->sell, &shards),
-      k_ + 1, 2.0, lanczos, &workspace_->lanczos, &workspace_->eigen, &stats);
+      k_ + 1, kSpectrumBound, lanczos, &workspace_->lanczos,
+      &workspace_->eigen, &stats, start);
   if (!solved.ok()) return solved;
   ++evaluations_;
   lanczos_iterations_ += stats.iterations;

@@ -94,6 +94,11 @@ class SpectralObjective {
   int k() const { return k_; }
   const ObjectiveOptions& options() const { return options_; }
 
+  /// Solves lambda_1..lambda_{k+1} to an absolute residual of 3e-4. Every
+  /// evaluation after this objective's first starts its eigensolve from the
+  /// previous evaluation's Ritz vectors in the workspace, so results depend
+  /// on this objective's own call sequence only, never on what an earlier
+  /// objective left in a shared workspace.
   Result<ObjectiveValue> Evaluate(const std::vector<double>& weights);
 
   /// The aggregated Laplacian at `weights`, through the same precomputed

@@ -38,8 +38,7 @@ class NeighborHeaps {
         slots_(new Candidate[static_cast<size_t>(n * width)]),
         sizes_(static_cast<size_t>(n), 0) {}
 
-  /// Offers a neighbor the node has not been offered before, so no
-  /// duplicate scan runs.
+  /// Offers a neighbor the node has not been offered before.
   void OfferNew(int64_t node, int64_t neighbor, double dist2) {
     Candidate* heap = slots_.get() + node * width_;
     int64_t& size = sizes_[static_cast<size_t>(node)];
@@ -51,20 +50,6 @@ class NeighborHeaps {
       heap[size - 1] = {dist2, neighbor};
       std::push_heap(heap, heap + size);
     }
-  }
-
-  /// Offers a neighbor that may already be in the node's heap (different
-  /// RP trees re-offer the same pair; duplicates would crowd out genuine
-  /// neighbors). A full heap rejects a candidate no nearer than its max
-  /// whether or not it is a duplicate, so that test runs first.
-  void Offer(int64_t node, int64_t neighbor, double dist2) {
-    const Candidate* heap = Heap(node);
-    const int64_t size = Size(node);
-    if (size == width_ && !(dist2 < heap[0].dist2)) return;
-    for (int64_t s = 0; s < size; ++s) {
-      if (heap[s].neighbor == neighbor) return;
-    }
-    OfferNew(node, neighbor, dist2);
   }
 
   const Candidate* Heap(int64_t node) const {
@@ -79,7 +64,7 @@ class NeighborHeaps {
 };
 
 /// Offers every pair of `block` to both endpoints, in (a, b) pair order.
-/// Each ordered pair is offered once, so no duplicate scan is needed.
+/// Each ordered pair is offered once.
 void BruteForceBlock(const la::DenseMatrix& points, const int64_t* block,
                      int64_t size, NeighborHeaps* heaps) {
   const int64_t d = points.cols();
@@ -228,13 +213,25 @@ Graph KnnGraph(const la::DenseMatrix& points, const KnnOptions& options) {
     // the calling thread: the pool runs one job at a time, and further pool
     // jobs right after the trees' would hold off a concurrent solve's
     // kernels for longer than the few milliseconds they save.
+    //
+    // Different trees re-offer the same pair, and duplicates would crowd
+    // out genuine neighbors, so node i takes each neighbor only at its
+    // first offer: offered[j] == i marks j as seen. Dropping a repeat
+    // changes no heap: a repeat carries the same distance, and a heap only
+    // fills and its max only falls, so a neighbor that was rejected or
+    // evicted once would be rejected again, and one that was kept would be
+    // a duplicate.
     heaps = std::make_unique<NeighborHeaps>(
         n, std::min(k, leaf_pairs * options.trees));
+    std::vector<int64_t> offered(static_cast<size_t>(n), -1);
     for (int64_t i = 0; i < n; ++i) {
       for (const auto& tree : tree_heaps) {
         const Candidate* heap = tree->Heap(i);
         for (int64_t s = 0; s < tree->Size(i); ++s) {
-          heaps->Offer(i, heap[s].neighbor, heap[s].dist2);
+          const int64_t j = heap[s].neighbor;
+          if (offered[static_cast<size_t>(j)] == i) continue;
+          offered[static_cast<size_t>(j)] = i;
+          heaps->OfferNew(i, j, heap[s].dist2);
         }
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "la/simd.h"
 #include "util/rng.h"
@@ -19,6 +20,26 @@ constexpr int64_t kDenseFallbackThreshold = 96;
 /// the solve (reorthogonalization dots) are chunked at kOrthoGrain instead
 /// and merged in chunk-index order (see Reorthogonalize).
 constexpr int64_t kElementGrain = 8192;
+
+/// Lanczos vectors each restart cycle adds after the kept Ritz vectors: the
+/// default basis holds keep + kCycleVectors rows.
+constexpr int kCycleVectors = 16;
+
+/// Vector budget of a solve, in multiples of `span` (min(n, max(2k + 24,
+/// 48)), or max_subspace), which is also the progress-check window.
+constexpr int kBudgetSubspaces = 3;
+
+/// A solve whose residual pace would need more than this many times its
+/// remaining budget to reach the tolerance stops (see the progress check).
+constexpr double kHopelessBudgets = 4.0;
+
+/// Weight of the seeded Gaussian mixed into a start built from a block, so
+/// the Krylov space still reaches directions the block lacks (after a long
+/// optimizer step, an eigenvector the previous block barely holds).
+constexpr double kStartAdmixture = 0.1;
+
+/// Norm below which a direction counts as zero (breakdown, spent space).
+constexpr double kTiny = 1e-12;
 
 /// y = M x for the operator's matrix: one row-range SpMV over all rows, or
 /// one per shard. The row kernels write each row from its own dot product,
@@ -38,20 +59,17 @@ void Apply(const SpmvOperator& op, const double* x, double* y) {
   }
 }
 
-/// Projects x (length n) onto the orthogonal complement of Q = the locked
-/// bank rows [0, num_locked) followed by the basis rows [0, upto): block
-/// classical Gram-Schmidt, done twice (CGS2). Each pass makes two sweeps
-/// over fixed kOrthoGrain chunks — per-chunk partial dots for every row of
-/// Q, merged in chunk-index order into h = Q^T x, then x -= Q h with rows
-/// applied in ascending order per element — so a pass costs two pool
-/// dispatches instead of one per row, and the bits depend only on n.
-void Reorthogonalize(int num_locked, int upto, double* x, int64_t n,
-                     LanczosWorkspace* ws) {
-  const int rows = num_locked + upto;
-  if (rows == 0) return;
-  const DenseMatrix& bank = ws->bank;
+/// Projects x (length n) onto the orthogonal complement of basis rows
+/// [0, upto): block classical Gram-Schmidt, done twice (CGS2). Each pass
+/// makes two sweeps over fixed kOrthoGrain chunks — per-chunk partial dots
+/// for every basis row, merged in chunk-index order into h = V^T x, then
+/// x -= V h with rows applied in ascending order per element — so a pass
+/// costs two pool dispatches instead of one per row, and the bits depend
+/// only on n.
+void Reorthogonalize(int upto, double* x, int64_t n, LanczosWorkspace* ws) {
+  if (upto == 0) return;
   const DenseMatrix& basis = ws->basis;
-  double* partials = ws->ortho_partials.data();  // chunk-major, `rows` each
+  double* partials = ws->ortho_partials.data();  // chunk-major, `upto` each
   double* coef = ws->ortho_coef.data();
   const int64_t chunks = util::ThreadPool::NumChunks(0, n, kOrthoGrain);
   const simd::KernelTable* table = simd::ActiveTable();
@@ -59,27 +77,19 @@ void Reorthogonalize(int num_locked, int upto, double* x, int64_t n,
   for (int pass = 0; pass < 2; ++pass) {
     pool.ParallelForChunks(
         0, n, kOrthoGrain, [&](int64_t chunk, int64_t lo, int64_t hi) {
-          double* out = partials + chunk * rows;
-          for (int l = 0; l < num_locked; ++l) {
-            out[l] = table->dot(x + lo, bank.Row(l) + lo, hi - lo);
-          }
+          double* out = partials + chunk * upto;
           for (int i = 0; i < upto; ++i) {
-            out[num_locked + i] =
-                table->dot(x + lo, basis.Row(i) + lo, hi - lo);
+            out[i] = table->dot(x + lo, basis.Row(i) + lo, hi - lo);
           }
         });
-    std::fill(coef, coef + rows, 0.0);
+    std::fill(coef, coef + upto, 0.0);
     for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-      const double* part = partials + chunk * rows;
-      for (int r = 0; r < rows; ++r) coef[r] += part[r];
+      const double* part = partials + chunk * upto;
+      for (int i = 0; i < upto; ++i) coef[i] += part[i];
     }
     pool.ParallelFor(0, n, kOrthoGrain, [&](int64_t lo, int64_t hi) {
-      for (int l = 0; l < num_locked; ++l) {
-        table->axpy(-coef[l], bank.Row(l) + lo, x + lo, hi - lo);
-      }
       for (int i = 0; i < upto; ++i) {
-        table->axpy(-coef[num_locked + i], basis.Row(i) + lo, x + lo,
-                    hi - lo);
+        table->axpy(-coef[i], basis.Row(i) + lo, x + lo, hi - lo);
       }
     });
   }
@@ -119,48 +129,63 @@ Status DenseSmallestInto(const CsrMatrix& matrix, int k,
   return OkStatus();
 }
 
-/// One Lanczos sweep on B = sigma I - M with full reorthogonalization,
-/// deflated against the locked bank rows [0, num_locked) (every Krylov
-/// vector is kept orthogonal to the already-converged eigenvectors), from a
-/// random start direction. Writes up to `want` Ritz pairs — ascending in M,
-/// with exact residuals — into bank rows [pass_base, pass_base + produced)
-/// and returns `produced`. `built_out` reports the basis vectors built (the
-/// solve's iteration count).
-int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
-                    int num_locked, int pass_base, Rng* rng,
-                    LanczosWorkspace* ws, int* built_out) {
-  const int64_t n = matrix.rows();
-  if (built_out != nullptr) *built_out = 0;
+/// Writes a seeded Gaussian direction into x, projected off basis rows
+/// [0, upto) and normalized. False when those rows span all it reaches.
+bool RandomDirection(int upto, Rng* rng, double* x, int64_t n,
+                     LanczosWorkspace* ws) {
+  for (int64_t i = 0; i < n; ++i) x[i] = rng->Gaussian();
+  Reorthogonalize(upto, x, n, ws);
+  const double norm = Norm2(x, n);
+  if (norm < kTiny) return false;
+  Scale(1.0 / norm, x, n);
+  return true;
+}
 
-  DenseMatrix& basis = ws->basis;  // row-per-basis-vector, contiguous axpys
-  basis.Reshape(m, n);
-  Vector& alpha = ws->alpha;
-  Vector& beta = ws->beta;  // beta[j] couples v_j, v_{j+1}
-  alpha.assign(static_cast<size_t>(m), 0.0);
-  beta.assign(static_cast<size_t>(m), 0.0);
-
-  Vector& v = ws->v;
-  v.assign(static_cast<size_t>(n), 0.0);
-  for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = rng->Gaussian();
-  Reorthogonalize(num_locked, 0, v.data(), n, ws);
-  {
-    const double norm = Norm2(v.data(), n);
-    if (norm < 1e-12) return 0;  // locked set spans everything reachable
-    Scale(1.0 / norm, v.data(), n);
+/// The first Krylov vector, into basis row 0: the normalized column sum of
+/// `start` plus kStartAdmixture times a seeded unit Gaussian, or that
+/// Gaussian alone without a start block. Reads `start` completely.
+bool StartVector(const DenseMatrix* start, Rng* rng, int64_t n,
+                 LanczosWorkspace* ws) {
+  double* v0 = ws->basis.Row(0);
+  if (!RandomDirection(0, rng, v0, n, ws)) return false;
+  if (start == nullptr) return true;
+  double* sum = ws->w.data();
+  for (int64_t i = 0; i < n; ++i) {
+    const double* row = start->Row(i);
+    double s = 0.0;
+    for (int64_t c = 0; c < start->cols(); ++c) s += row[c];
+    sum[i] = s;
   }
-  std::copy(v.begin(), v.end(), basis.Row(0));
+  const double norm = Norm2(sum, n);
+  if (norm < kTiny) return true;
+  const double inv = 1.0 / norm;
+  for (int64_t i = 0; i < n; ++i) {
+    v0[i] = sum[i] * inv + kStartAdmixture * v0[i];
+  }
+  Scale(1.0 / Norm2(v0, n), v0, n);
+  return true;
+}
 
+/// Extends the Krylov-Schur decomposition B V = V T + f e^T on
+/// B = sigma I - M from basis rows [0, first) to [0, top): Lanczos steps
+/// with full reorthogonalization from the direction in row `first`. A
+/// breakdown (invariant subspace) continues from a fresh random direction
+/// deflated against the basis, which is how a repeated eigenvalue gets its
+/// further copies. Sets *rows to the basis rows now built (below `top` only
+/// once the reachable space is spent), leaves f in ws->w and returns ||f||.
+double Expand(const SpmvOperator& matrix, double sigma, int first, int top,
+              Rng* rng, LanczosWorkspace* ws, int* rows) {
+  const int64_t n = matrix.rows();
+  DenseMatrix& basis = ws->basis;
   Vector& w = ws->w;
-  w.assign(static_cast<size_t>(n), 0.0);
-  int built = 0;
-  for (int j = 0; j < m; ++j) {
-    built = j + 1;
+  const simd::KernelTable* table = simd::ActiveTable();
+  for (int j = first; j < top; ++j) {
+    *rows = j + 1;
     // w = B v_j = sigma v_j - M v_j. The sigma_sub kernel is element-wise
     // (separate multiply and subtract roundings in every ISA variant), so
     // this combine is bit-identical across ISA paths and chunkings.
-    Apply(matrix, basis.Row(j), w.data());
     const double* vj = basis.Row(j);
-    const simd::KernelTable* table = simd::ActiveTable();
+    Apply(matrix, vj, w.data());
     const auto combine = [sigma, vj, &w, table](int64_t lo, int64_t hi) {
       table->sigma_sub(sigma, vj + lo, w.data() + lo, hi - lo);
     };
@@ -169,94 +194,67 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
     } else {
       util::ThreadPool::Global().ParallelFor(0, n, kElementGrain, combine);
     }
-    alpha[static_cast<size_t>(j)] = Dot(w.data(), basis.Row(j), n);
-    Reorthogonalize(num_locked, j + 1, w.data(), n, ws);
+    ws->alpha[static_cast<size_t>(j)] = Dot(w.data(), vj, n);
+    Reorthogonalize(j + 1, w.data(), n, ws);
     const double norm = Norm2(w.data(), n);
-    if (j + 1 < m) {
-      if (norm < 1e-12) {
-        // Invariant subspace found: restart with a fresh random direction.
-        for (int64_t i = 0; i < n; ++i) {
-          w[static_cast<size_t>(i)] = rng->Gaussian();
-        }
-        Reorthogonalize(num_locked, j + 1, w.data(), n, ws);
-        const double rnorm = Norm2(w.data(), n);
-        if (rnorm < 1e-12) break;  // reachable space exhausted
-        Scale(1.0 / rnorm, w.data(), n);
-        beta[static_cast<size_t>(j)] = 0.0;
-      } else {
-        Scale(1.0 / norm, w.data(), n);
-        beta[static_cast<size_t>(j)] = norm;
+    if (j + 1 == top) return norm;
+    if (norm < kTiny) {
+      ws->beta[static_cast<size_t>(j)] = 0.0;
+      if (!RandomDirection(j + 1, rng, basis.Row(j + 1), n, ws)) {
+        std::fill(w.begin(), w.end(), 0.0);
+        return 0.0;
       }
+    } else {
+      ws->beta[static_cast<size_t>(j)] = norm;
+      Scale(1.0 / norm, w.data(), n);
       std::copy(w.begin(), w.end(), basis.Row(j + 1));
     }
   }
+  return 0.0;
+}
 
-  if (built_out != nullptr) *built_out = built;
-
-  // Rayleigh-Ritz on the tridiagonal (dense Jacobi is fine at these sizes).
-  {
-    DenseMatrix& tri = ws->tri;
-    tri.Reshape(built, built);
-    for (int j = 0; j < built; ++j) {
-      tri(j, j) = alpha[static_cast<size_t>(j)];
-      if (j + 1 < built) {
-        tri(j, j + 1) = beta[static_cast<size_t>(j)];
-        tri(j + 1, j) = beta[static_cast<size_t>(j)];
-      }
-    }
-    JacobiEigenSymmetric(tri, &ws->ritz_values, &ws->ritz_vectors,
-                         &ws->jacobi);
+/// Rayleigh-Ritz on the projected matrix T of basis rows [0, rows): the
+/// diagonal alpha, the kept Ritz vectors' coupling to row `kept` (an arrow),
+/// then the Lanczos tridiagonal. Dense Jacobi; ascending Ritz values.
+void RayleighRitz(int kept, int rows, LanczosWorkspace* ws) {
+  DenseMatrix& t = ws->projected;
+  t.Reshape(rows, rows);
+  for (int j = 0; j < rows; ++j) t(j, j) = ws->alpha[static_cast<size_t>(j)];
+  for (int i = 0; i < kept; ++i) {
+    t(i, kept) = ws->coupling[static_cast<size_t>(i)];
+    t(kept, i) = ws->coupling[static_cast<size_t>(i)];
   }
+  for (int j = kept; j + 1 < rows; ++j) {
+    t(j, j + 1) = ws->beta[static_cast<size_t>(j)];
+    t(j + 1, j) = ws->beta[static_cast<size_t>(j)];
+  }
+  JacobiEigenSymmetric(t, &ws->ritz_values, &ws->ritz_vectors, &ws->jacobi);
+}
 
-  // Largest of B == smallest of M; they sit at the end of the ascending list.
-  // Ritz assembly is a dense panel basis^T * Y for all `count` wanted pairs
-  // at once, into bank rows [pass_base, pass_base + count): one chunked
-  // sweep reads each basis row once per chunk and feeds every candidate.
-  // Per element each candidate accumulates the basis rows in ascending t
-  // order with element-wise axpys, so its bits match a per-pair serial loop
-  // on every ISA path.
-  const int count = std::min(want, built);
-  {
-    const DenseMatrix& ritz_vectors = ws->ritz_vectors;
-    DenseMatrix& bank = ws->bank;
-    const simd::KernelTable* table = simd::ActiveTable();
-    util::ThreadPool::Global().ParallelFor(
-        0, n, kOrthoGrain, [&](int64_t lo, int64_t hi) {
+/// Ritz vectors of the `count` largest Ritz values of B (the smallest
+/// eigenvalues of M), largest first, into ws->restart rows [0, count): one
+/// chunked sweep reads each basis row once per chunk and feeds every
+/// vector. Per element each vector accumulates the basis rows in ascending
+/// order with element-wise axpys, so the bits match a per-vector serial
+/// loop on every ISA path.
+void AssembleRitzVectors(int count, int rows, int64_t n,
+                         LanczosWorkspace* ws) {
+  const DenseMatrix& basis = ws->basis;
+  const DenseMatrix& y = ws->ritz_vectors;
+  DenseMatrix& target = ws->restart;
+  const simd::KernelTable* table = simd::ActiveTable();
+  util::ThreadPool::Global().ParallelFor(
+      0, n, kOrthoGrain, [&](int64_t lo, int64_t hi) {
+        for (int j = 0; j < count; ++j) {
+          std::fill(target.Row(j) + lo, target.Row(j) + hi, 0.0);
+        }
+        for (int t = 0; t < rows; ++t) {
+          const double* row = basis.Row(t) + lo;
           for (int j = 0; j < count; ++j) {
-            std::fill(bank.Row(pass_base + j) + lo,
-                      bank.Row(pass_base + j) + hi, 0.0);
+            table->axpy(y(t, rows - 1 - j), row, target.Row(j) + lo, hi - lo);
           }
-          for (int t = 0; t < built; ++t) {
-            const double* row = basis.Row(t) + lo;
-            for (int j = 0; j < count; ++j) {
-              table->axpy(ritz_vectors(t, built - 1 - j), row,
-                          bank.Row(pass_base + j) + lo, hi - lo);
-            }
-          }
-        });
-  }
-  // Normalize, score and compact: candidate j moves down to row
-  // pass_base + produced (only rows already consumed are overwritten).
-  int produced = 0;
-  Vector& mv = ws->mv;
-  mv.assign(static_cast<size_t>(n), 0.0);
-  for (int j = 0; j < count; ++j) {
-    const double value =
-        sigma - ws->ritz_values[static_cast<size_t>(built - 1 - j)];
-    const double* candidate = ws->bank.Row(pass_base + j);
-    const double vnorm = Norm2(candidate, n);
-    if (vnorm < 1e-12) continue;
-    double* assembled = ws->bank.Row(pass_base + produced);
-    if (assembled != candidate) std::copy(candidate, candidate + n, assembled);
-    Scale(1.0 / vnorm, assembled, n);
-    Apply(matrix, assembled, mv.data());
-    Axpy(-value, assembled, mv.data(), n);
-    ws->bank_value[static_cast<size_t>(pass_base + produced)] = value;
-    ws->bank_residual[static_cast<size_t>(pass_base + produced)] =
-        Norm2(mv.data(), n);
-    ++produced;
-  }
-  return produced;
+        }
+      });
 }
 
 }  // namespace
@@ -305,7 +303,7 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
                               double spectrum_upper_bound,
                               const LanczosOptions& options,
                               LanczosWorkspace* ws, Eigenpairs* out,
-                              LanczosStats* stats) {
+                              LanczosStats* stats, const DenseMatrix* start) {
   const int64_t n = matrix.rows();
   if (stats != nullptr) *stats = LanczosStats();
   if ((matrix.csr == nullptr) == (matrix.sell == nullptr)) {
@@ -320,6 +318,9 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
   }
   if (k <= 0) return InvalidArgument("k must be positive");
   if (k > n) return InvalidArgument("k exceeds matrix dimension");
+  if (start != nullptr && (start->rows() != n || start->cols() < 1)) {
+    return InvalidArgument("start block must have one row per matrix row");
+  }
   if (UsesDenseFallback(n, k)) {
     if (matrix.csr != nullptr) return DenseSmallestInto(*matrix.csr, k, ws, out);
     return InvalidArgument(
@@ -327,107 +328,127 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
         "n (solve on the CSR form for the dense fallback)");
   }
 
-  const double sigma = spectrum_upper_bound;
-  int m = options.max_subspace > 0
-              ? options.max_subspace
-              : static_cast<int>(std::min<int64_t>(n, std::max(2 * k + 24, 48)));
-  m = static_cast<int>(std::min<int64_t>(m, n));
-  if (m < k + 2) m = static_cast<int>(std::min<int64_t>(k + 2, n));
+  // The basis holds `keep` Ritz vectors plus kCycleVectors new ones (or
+  // max_subspace rows). `span` is the subspace of one restart-from-scratch
+  // pass: the solve builds at most kBudgetSubspaces x span Krylov vectors
+  // and must show progress every span vectors.
+  const int keep_wanted = k + std::max(2, k / 3);
+  int span = options.max_subspace > 0
+                 ? options.max_subspace
+                 : static_cast<int>(
+                       std::min<int64_t>(n, std::max(2 * k + 24, 48)));
+  span = static_cast<int>(std::min<int64_t>(span, n));
+  if (span < k + 2) span = static_cast<int>(std::min<int64_t>(k + 2, n));
+  const int m =
+      options.max_subspace > 0
+          ? span
+          : static_cast<int>(std::min<int64_t>(n, keep_wanted + kCycleVectors));
+  const int keep = std::min(keep_wanted, m - 1);
+  const int budget = kBudgetSubspaces * span;
 
-  // Bank layout: rows [0, k) are the locked region; two pass regions of
-  // k + 1 rows alternate above it so the leftovers of pass t stay intact
-  // through an unproductive pass t + 1. Shape is only *ensured* here — rows
-  // are fully (re)written before every read — so a reused workspace never
-  // re-zeroes or reallocates the bank.
-  const int bank_rows = 3 * k + 2;
-  if (ws->bank.rows() < bank_rows || ws->bank.cols() != n) {
-    ws->bank.Reshape(bank_rows, n);
+  // Shapes are only *ensured*: every row is written before it is read, so a
+  // reused workspace never re-zeroes or reallocates.
+  for (DenseMatrix* buffer : {&ws->basis, &ws->restart}) {
+    if (buffer->rows() < m || buffer->cols() != n) buffer->Reshape(m, n);
   }
-  if (static_cast<int>(ws->bank_value.size()) < bank_rows) {
-    ws->bank_value.assign(static_cast<size_t>(bank_rows), 0.0);
-    ws->bank_residual.assign(static_cast<size_t>(bank_rows), 0.0);
-  }
-  // Reorthogonalization runs against at most k - 1 locked rows plus m basis
-  // rows; sized once per (n, k, m) so steady-state solves never reallocate.
-  const int ortho_rows = k + m;
+  ws->alpha.resize(static_cast<size_t>(m));
+  ws->beta.resize(static_cast<size_t>(m));
+  ws->coupling.resize(static_cast<size_t>(m));
+  ws->w.resize(static_cast<size_t>(n));
   ws->ortho_partials.resize(static_cast<size_t>(
-      util::ThreadPool::NumChunks(0, n, kOrthoGrain) * ortho_rows));
-  ws->ortho_coef.resize(static_cast<size_t>(ortho_rows));
+      util::ThreadPool::NumChunks(0, n, kOrthoGrain) * m));
+  ws->ortho_coef.resize(static_cast<size_t>(m));
 
-  // Single-vector Lanczos sees at most one direction per eigenvalue, so
-  // repeated eigenvalues (disconnected Laplacians!) need deflated restarts:
-  // converged pairs are locked, and the next pass explores their orthogonal
-  // complement until k pairs are resolved.
+  const double sigma = spectrum_upper_bound;
   const double tolerance =
       std::max(options.tolerance, 1e-12) * std::max(1.0, std::fabs(sigma));
   Rng rng(options.seed);
+  if (!StartVector(start, &rng, n, ws)) {
+    return Internal("Lanczos start vector vanished");
+  }
 
-  int num_locked = 0;                          // bank rows [0, num_locked)
-  std::vector<int>& leftovers = ws->leftovers;  // best unconverged, final pass
-  leftovers.clear();
-  const int max_passes = 3;
-  for (int pass = 0; pass < max_passes && num_locked < k; ++pass) {
-    const int missing = k - num_locked;
-    const int pass_base = k + (pass % 2) * (k + 1);
-    int built = 0;
-    const int produced = LanczosPassInto(matrix, sigma, m, missing + 1,
-                                         num_locked, pass_base, &rng, ws,
-                                         &built);
-    if (stats != nullptr) {
-      stats->iterations += built;
-      ++stats->passes;
+  // Thick restart (Krylov-Schur): each cycle expands the basis to m rows,
+  // solves the projected problem, and reads every Ritz residual off the
+  // relation as ||f|| |y_last|. Unless the solve stops, the next basis is
+  // the `keep` best Ritz vectors followed by f / ||f||.
+  int kept = 0;
+  int rows = 0;
+  int built = 0;
+  // Progress mark: vectors built, wanted pairs converged and the worst
+  // wanted residual when it was last set.
+  int mark_built = -1;
+  int mark_converged = 0;
+  double mark_worst = 0.0;
+  for (;;) {
+    const int top = std::min(m, kept + (budget - built));
+    const double beta = Expand(matrix, sigma, kept, top, &rng, ws, &rows);
+    built += rows - kept;
+    RayleighRitz(kept, rows, ws);
+
+    int converged = 0;
+    double worst = 0.0;
+    for (int j = 0; j < k; ++j) {
+      const double residual =
+          beta * std::fabs(ws->ritz_vectors(rows - 1, rows - 1 - j));
+      if (residual <= tolerance) ++converged;
+      worst = std::max(worst, residual);
     }
-    if (produced == 0) break;
-    bool locked_any = false;
-    leftovers.clear();
-    for (int p = 0; p < produced; ++p) {
-      const int row = pass_base + p;
-      if (num_locked < k &&
-          ws->bank_residual[static_cast<size_t>(row)] <= tolerance) {
-        std::copy(ws->bank.Row(row), ws->bank.Row(row) + n,
-                  ws->bank.Row(num_locked));
-        ws->bank_value[static_cast<size_t>(num_locked)] =
-            ws->bank_value[static_cast<size_t>(row)];
-        ws->bank_residual[static_cast<size_t>(num_locked)] =
-            ws->bank_residual[static_cast<size_t>(row)];
-        ++num_locked;
-        locked_any = true;
-      } else {
-        leftovers.push_back(row);
-      }
+    // Progress is judged over the vectors of one restart-from-scratch pass
+    // (`span`) since the mark, because residuals at the edge of the
+    // spectral bulk wander from cycle to cycle. The solve has stalled when
+    // those vectors neither converged a new wanted pair nor halved the
+    // worst wanted residual, or when the pace at which they shrank it would
+    // need more than kHopelessBudgets times the remaining budget to reach
+    // the tolerance (a caller asking far more than the budget can buy).
+    bool stalled = false;
+    if (mark_built < 0) {
+      mark_built = built;
+    } else if (built - mark_built >= span) {
+      const double pace = std::log(worst / mark_worst) / (built - mark_built);
+      const bool hopeless =
+          pace < 0.0 && std::log(tolerance / worst) / pace >
+                            kHopelessBudgets * (budget - built);
+      stalled = hopeless ||
+                (converged <= mark_converged && worst > 0.5 * mark_worst);
+      mark_built = built;
     }
-    // A pair that refuses to lock after a full m-step pass (spectral-bulk
-    // tail) stops the solve, which then serves the best leftover
-    // approximations — the documented early-exit design.
-    if (!locked_any) break;  // no further progress at this subspace size
-  }
+    if (built == mark_built) {
+      mark_converged = converged;
+      mark_worst = worst;
+    }
+    // Stop once every wanted pair converged, progress stalled, or the
+    // budget or the reachable space is spent; the pairs in hand are then
+    // served.
+    if (converged == k || stalled || built >= budget || rows < top) break;
 
-  // Fill any remaining slots with the best unconverged approximations.
-  std::vector<int>& selected = ws->selected;
-  selected.clear();
-  for (int l = 0; l < num_locked; ++l) selected.push_back(l);
-  for (int row : leftovers) {
-    if (static_cast<int>(selected.size()) >= k) break;
-    selected.push_back(row);
+    const int next = std::min(keep, rows - 1);
+    AssembleRitzVectors(next, rows, n, ws);
+    for (int t = 0; t < next; ++t) {
+      const int c = rows - 1 - t;
+      ws->alpha[static_cast<size_t>(t)] =
+          ws->ritz_values[static_cast<size_t>(c)];
+      ws->coupling[static_cast<size_t>(t)] =
+          beta * ws->ritz_vectors(rows - 1, c);
+    }
+    double* direction = ws->restart.Row(next);
+    std::copy(ws->w.begin(), ws->w.end(), direction);
+    Scale(1.0 / beta, direction, n);
+    std::swap(ws->basis, ws->restart);
+    kept = next;
   }
-  if (static_cast<int>(selected.size()) < k) {
-    return Internal("Lanczos resolved fewer than k eigenpairs");
-  }
+  if (stats != nullptr) stats->iterations = built;
 
-  std::sort(selected.begin(), selected.end(), [ws](int a, int b) {
-    return ws->bank_value[static_cast<size_t>(a)] <
-           ws->bank_value[static_cast<size_t>(b)];
-  });
+  // The k largest Ritz pairs of B, largest first, are the k smallest of M in
+  // ascending order.
+  AssembleRitzVectors(k, rows, n, ws);
   out->values.assign(static_cast<size_t>(k), 0.0);
   out->vectors.Reshape(n, k);
   for (int j = 0; j < k; ++j) {
-    const int row = selected[static_cast<size_t>(j)];
     out->values[static_cast<size_t>(j)] =
-        ws->bank_value[static_cast<size_t>(row)];
-    const double* src = ws->bank.Row(row);
-    for (int64_t i = 0; i < n; ++i) {
-      out->vectors(i, j) = src[static_cast<size_t>(i)];
-    }
+        sigma - ws->ritz_values[static_cast<size_t>(rows - 1 - j)];
+    double* vector = ws->restart.Row(j);
+    Scale(1.0 / Norm2(vector, n), vector, n);
+    for (int64_t i = 0; i < n; ++i) out->vectors(i, j) = vector[i];
   }
   return OkStatus();
 }

@@ -2,7 +2,6 @@
 #define SGLA_LA_LANCZOS_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "la/dense.h"
 #include "la/eigen_sym.h"
@@ -30,45 +29,46 @@ struct Eigenpairs {
 };
 
 struct LanczosOptions {
-  int max_subspace = 0;        ///< 0 = auto (min(n, max(2k + 24, 48)))
-  double tolerance = 1e-8;     ///< Ritz-residual early exit (relative)
+  /// Basis rows; 0 = auto: the kept Ritz vectors, k + max(2, k/3), plus 16.
+  /// Either way a solve builds at most 3 x max_subspace Krylov vectors
+  /// (auto: 3 x min(n, max(2k + 24, 48))).
+  int max_subspace = 0;
+  /// Stop tolerance on every wanted pair's residual ||M x - lambda x||,
+  /// relative to max(1, |spectrum_upper_bound|).
+  double tolerance = 1e-8;
   uint64_t seed = 20250131;    ///< deterministic start vector
 };
 
 /// Per-solve instrumentation, filled when a `stats` out-param is passed.
 struct LanczosStats {
-  int iterations = 0;  ///< Lanczos basis vectors built across all passes
-  int passes = 0;      ///< restart passes run (0 on the dense fallback)
+  int iterations = 0;  ///< Krylov vectors built (one SpMV each)
 };
 
-/// Reusable scratch for SmallestEigenpairsInto: Krylov basis and panel
-/// buffers, the Rayleigh-Ritz tridiagonal + Jacobi scratch, and a bank of
-/// candidate/locked Ritz vectors. A default-constructed workspace grows on
+/// Reusable scratch for SmallestEigenpairsInto: the Krylov-Schur basis and
+/// its restart twin, the projected matrix + Jacobi scratch and the
+/// reorthogonalization partials. A default-constructed workspace grows on
 /// first use; afterwards repeated solves at the same (n, k, subspace) —
 /// e.g. the per-evaluation eigensolve of the SGLA weight search — perform
 /// zero heap allocations. Contents carry no state between calls beyond
 /// capacity; any call fully re-initializes what it reads.
 struct LanczosWorkspace {
-  DenseMatrix basis;       ///< m x n, row per Krylov vector
-  Vector alpha, beta;      ///< tridiagonal entries, size m
-  Vector v, w, mv;         ///< length-n iteration / residual vectors
-  DenseMatrix tri;         ///< Rayleigh-Ritz tridiagonal (built x built)
+  /// m x n, one row per vector: the Ritz vectors kept at the last restart,
+  /// then the Lanczos vectors built since.
+  DenseMatrix basis;
+  /// m x n: the next basis, assembled at a restart and swapped in; the
+  /// output Ritz vectors are assembled here too.
+  DenseMatrix restart;
+  Vector alpha, beta;      ///< projected diagonal / Lanczos couplings, size m
+  Vector coupling;         ///< kept Ritz vectors' coupling to the next row
+  Vector w;                ///< length-n step vector; the residual f
+  DenseMatrix projected;   ///< Rayleigh-Ritz matrix (rows x rows)
   Vector ritz_values;      ///< Jacobi outputs, reused
   DenseMatrix ritz_vectors;
   JacobiWorkspace jacobi;
-  /// Ritz-vector bank, one row per vector: rows [0, k) hold locked
-  /// (converged) vectors in locking order; rows [k, 3k+2) hold the current
-  /// and previous pass's candidates in two alternating regions of k+1 rows,
-  /// so leftovers of pass t survive an unproductive pass t+1.
-  DenseMatrix bank;
-  Vector bank_value;       ///< Ritz value per bank row
-  Vector bank_residual;    ///< exact residual per bank row
-  std::vector<int> leftovers;  ///< pass-region rows not locked (best first)
-  std::vector<int> selected;   ///< final k bank rows, ascending by value
   DenseMatrix dense_scratch;   ///< dense fallback: densified matrix
   DenseMatrix dense_sym;       ///< dense fallback: symmetrized copy
   /// Reorthogonalization scratch: per-chunk partial dots (chunk-major, one
-  /// slot per locked + basis row) and the merged projection coefficients.
+  /// slot per basis row) and the merged projection coefficients.
   Vector ortho_partials;
   Vector ortho_coef;
 };
@@ -111,11 +111,14 @@ SpmvOperator SellSpmvOperator(const SellMatrix& m,
 /// hit the fallback sizes must solve on the CSR form.
 bool UsesDenseFallback(int64_t n, int k);
 
-/// The k algebraically smallest eigenpairs of a symmetric matrix, via Lanczos
-/// with full reorthogonalization on the spectral complement
-/// B = spectrum_upper_bound * I - M (so the target pairs become extremal).
-/// For normalized Laplacians, spectrum_upper_bound = 2 is a valid bound.
-/// Small matrices fall back to a dense Jacobi solve.
+/// The k algebraically smallest eigenpairs of a symmetric matrix, via
+/// thick-restart (Krylov-Schur) Lanczos with full reorthogonalization on the
+/// spectral complement B = spectrum_upper_bound * I - M (so the target pairs
+/// become extremal). For normalized Laplacians, spectrum_upper_bound = 2 is
+/// a valid bound. A solve stops when every wanted pair meets the tolerance,
+/// when a restart cycle neither converges a new pair nor halves the worst
+/// wanted residual, or when its vector budget is spent; the pairs it has
+/// then are served. Small matrices fall back to a dense Jacobi solve.
 Result<Eigenpairs> SmallestEigenpairs(const CsrMatrix& matrix, int k,
                                       double spectrum_upper_bound,
                                       const LanczosOptions& options = {});
@@ -135,11 +138,18 @@ Status SmallestEigenpairsInto(const CsrMatrix& matrix, int k,
 /// Rayleigh-Ritz) runs on the caller over full-length vectors. A CSR
 /// operator at dense-fallback sizes densifies its matrix (shards unused);
 /// a SELL operator there fails with InvalidArgument.
+///
+/// `start`, when set, is an n-row block — typically the previous solve's
+/// eigenvectors on a nearby matrix — whose column sum, plus a seeded
+/// Gaussian admixture of weight 0.1, is the first Krylov vector instead of
+/// the seeded Gaussian alone. It is read before `out` is written, so it may
+/// alias out->vectors. The dense fallback ignores it.
 Status SmallestEigenpairsInto(const SpmvOperator& op, int k,
                               double spectrum_upper_bound,
                               const LanczosOptions& options,
                               LanczosWorkspace* workspace, Eigenpairs* out,
-                              LanczosStats* stats = nullptr);
+                              LanczosStats* stats = nullptr,
+                              const DenseMatrix* start = nullptr);
 
 }  // namespace la
 }  // namespace sgla

@@ -235,6 +235,64 @@ TEST(EngineTest, ClusterSolveBitIdenticalToSingleShot) {
   ExpectResponseMatchesReference(*again, plus_ref);
 }
 
+// Each objective starts its eigensolves after the first from its own
+// previous evaluation's Ritz vectors, which live in the session's reused
+// EvalWorkspace. Nothing of that may cross requests: a repeated request on
+// one session returns the same bits, and a request's first evaluation is
+// the first evaluation of a fresh workspace.
+TEST(EngineTest, RecycledEigensolveStartStaysInsideOneRequest) {
+  const GraphFixture f = GraphFixture::Make(400, 4, 23);
+  serve::GraphRegistry registry;
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
+  serve::EngineOptions options;
+  options.num_sessions = 1;  // every request reuses the one workspace
+  serve::Engine engine(&registry, options);
+
+  serve::SolveRequest request;
+  request.graph_id = "g";
+  request.algorithm = serve::Algorithm::kSgla;
+  auto first = engine.Solve(request);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = engine.Solve(request);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->integration.weights, first->integration.weights);
+  EXPECT_EQ(second->integration.objective_history,
+            first->integration.objective_history);
+  EXPECT_EQ(second->integration.laplacian.values,
+            first->integration.laplacian.values);
+  EXPECT_EQ(second->stats.lanczos_iterations, first->stats.lanczos_iterations);
+  EXPECT_EQ(second->labels, first->labels);
+
+  // Objective level: a workspace that already served another objective's
+  // search gives the next objective's first evaluation the fresh bits.
+  core::LaplacianAggregator aggregator(&f.views);
+  const std::vector<double> w = {0.6, 0.4};
+  core::EvalWorkspace fresh_workspace;
+  core::SpectralObjective fresh(&aggregator, 4, core::ObjectiveOptions(),
+                                &fresh_workspace);
+  auto expected = fresh.Evaluate(w);
+  ASSERT_TRUE(expected.ok());
+
+  core::EvalWorkspace used_workspace;
+  {
+    core::SpectralObjective earlier(&aggregator, 4, core::ObjectiveOptions(),
+                                    &used_workspace);
+    for (const std::vector<double>& v :
+         {std::vector<double>{0.2, 0.8}, std::vector<double>{0.9, 0.1}}) {
+      ASSERT_TRUE(earlier.Evaluate(v).ok());
+    }
+  }
+  core::SpectralObjective later(&aggregator, 4, core::ObjectiveOptions(),
+                                &used_workspace);
+  auto got = later.Evaluate(w);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->h, expected->h);
+  EXPECT_EQ(got->lanczos_iterations, expected->lanczos_iterations);
+  EXPECT_EQ(used_workspace.eigen.values, fresh_workspace.eigen.values);
+  EXPECT_EQ(used_workspace.eigen.vectors.data(),
+            fresh_workspace.eigen.vectors.data());
+}
+
 TEST(EngineTest, EmbedSolveBitIdenticalToSingleShot) {
   const GraphFixture f = GraphFixture::Make(300, 3, 31);
   auto integration = core::Sgla(f.views, 3);

@@ -1,7 +1,9 @@
 // Unit tests for the la/ numerical substrate: SpMV and WeightedSum against
 // dense references, Lanczos vs an analytic 3x3 spectrum, a seeded-random
 // Lanczos oracle (orthonormality, residuals, dense-Jacobi spectra and
-// thread-count bit-identity; replay one seed with SGLA_LANCZOS_ORACLE_SEED),
+// thread-count bit-identity, plus objective-residual values against a
+// converged reference on near-degenerate clusters; replay one seed with
+// SGLA_LANCZOS_ORACLE_SEED),
 // submatrix extraction and the truncated SVD, plus the per-ISA SIMD kernel
 // contracts (remainder lanes, SELL layout, cross-ISA bit rules from
 // la/simd_table.h).
@@ -315,6 +317,110 @@ TEST(LanczosTest, SeededRandomOracle) {
                              /*check_threads=*/n == 6145);
       }
     }
+  }
+}
+
+/// Residual every objective evaluation solves lambda_1..lambda_{k+1} to
+/// (core::SpectralObjective), and the accuracy it must buy.
+constexpr double kObjectiveResidual = 3e-4;
+constexpr double kObjectiveAccuracy = 2e-4;
+
+/// The spectral terms of the objective h (la/ knows no weights):
+/// g_k = lambda_k / lambda_{k+1} minus lambda_2, from k + 1 ascending values.
+double SpectralTerms(const la::Vector& lambda, int k) {
+  const double lk = std::max(0.0, lambda[static_cast<size_t>(k) - 1]);
+  const double lk1 = std::max(0.0, lambda[static_cast<size_t>(k)]);
+  return std::min(lk / std::max(lk1, 1e-12), 1.0) - std::max(0.0, lambda[1]);
+}
+
+/// Solves the k + 1 smallest pairs of `m` at the objective's residual and
+/// expects every value, and the spectral terms, within kObjectiveAccuracy
+/// of `reference`.
+void ExpectObjectiveAccuracy(const la::CsrMatrix& m, int k,
+                             const la::LanczosOptions& options,
+                             const la::DenseMatrix* start,
+                             const la::Vector& reference,
+                             const std::string& what) {
+  la::LanczosWorkspace ws;
+  la::Eigenpairs eigen;
+  ASSERT_TRUE(la::SmallestEigenpairsInto(la::CsrSpmvOperator(m), k + 1, 2.0,
+                                         options, &ws, &eigen, nullptr, start)
+                  .ok())
+      << what;
+  for (int j = 0; j <= k; ++j) {
+    EXPECT_NEAR(eigen.values[static_cast<size_t>(j)],
+                reference[static_cast<size_t>(j)], kObjectiveAccuracy)
+        << what << ": lambda_" << j + 1;
+  }
+  EXPECT_NEAR(SpectralTerms(eigen.values, k), SpectralTerms(reference, k),
+              kObjectiveAccuracy)
+      << what << ": h";
+}
+
+/// Near-degenerate clustered case, shaped like an objective evaluation:
+/// k + 1 wanted pairs of an aggregate of two views over the same balanced
+/// planted clusters of one density, at least k + 1 of them, so the wanted
+/// cluster eigenvalues nearly coincide. Values at the objective's residual
+/// — cold from two seeds, and started from the Ritz vectors of a nearby
+/// aggregate — must match a converged reference (every pair to 1e-8)
+/// within kObjectiveAccuracy.
+void RunObjectiveAccuracyCase(uint64_t seed, int64_t n) {
+  Rng rng(seed ^ (static_cast<uint64_t>(n) << 1) ^ 0xacc);
+  const int k = static_cast<int>(rng.UniformInt(2, 6));
+  const int blocks = k + 1 + static_cast<int>(rng.UniformInt(0, 2));
+  const std::string fixture =
+      "SGLA_LANCZOS_ORACLE_SEED=" + std::to_string(seed) +
+      " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+      " blocks=" + std::to_string(blocks) + " near-degenerate";
+  SCOPED_TRACE(fixture);
+  const std::vector<int32_t> labels = data::BalancedLabels(n, blocks, &rng);
+  const double p_in =
+      (12.0 + 8.0 * rng.Uniform()) * blocks / static_cast<double>(n);
+  const la::CsrMatrix a = graph::NormalizedLaplacian(
+      data::SbmGraph(labels, blocks, p_in, p_in * 0.02, &rng));
+  const la::CsrMatrix b = graph::NormalizedLaplacian(
+      data::SbmGraph(labels, blocks, p_in, p_in * 0.04, &rng));
+  const la::CsrMatrix m = la::WeightedSum({&a, &b}, {0.6, 0.4});
+  const la::CsrMatrix nearby = la::WeightedSum({&a, &b}, {0.55, 0.45});
+
+  la::LanczosOptions converged;
+  converged.tolerance = 1e-8 / 2.0;
+  converged.max_subspace = 160;
+  auto reference = la::SmallestEigenpairs(m, k + 1, 2.0, converged);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  la::Vector v(static_cast<size_t>(n)), mv(static_cast<size_t>(n));
+  for (int j = 0; j <= k; ++j) {
+    for (int64_t i = 0; i < n; ++i) {
+      v[static_cast<size_t>(i)] = reference->vectors(i, j);
+    }
+    la::Spmv(m, v.data(), mv.data());
+    la::Axpy(-reference->values[static_cast<size_t>(j)], v.data(), mv.data(),
+             n);
+    ASSERT_LE(la::Norm2(mv.data(), n), 1e-8) << "reference pair " << j;
+  }
+
+  la::LanczosOptions options;
+  options.tolerance = kObjectiveResidual / 2.0;
+  for (uint64_t lanczos_seed : {options.seed, seed + 1}) {
+    options.seed = lanczos_seed;
+    ExpectObjectiveAccuracy(m, k, options, nullptr, reference->values,
+                            "cold, seed " + std::to_string(lanczos_seed));
+  }
+  auto previous = la::SmallestEigenpairs(nearby, k + 1, 2.0, options);
+  ASSERT_TRUE(previous.ok());
+  ExpectObjectiveAccuracy(m, k, options, &previous->vectors,
+                          reference->values, "started from a nearby solve");
+}
+
+TEST(LanczosTest, ObjectiveResidualMeetsConvergedReference) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("SGLA_LANCZOS_ORACLE_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    seeds = {20261017, 20261018};
+  }
+  for (uint64_t seed : seeds) {
+    for (int64_t n : {6145, 12289}) RunObjectiveAccuracyCase(seed, n);
   }
 }
 
