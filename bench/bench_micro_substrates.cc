@@ -5,9 +5,13 @@
 // optimizer choice).
 #include <benchmark/benchmark.h>
 
+#include <stdlib.h>
+
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <new>
 #include <string>
 
@@ -24,6 +28,7 @@
 #include "la/lanczos.h"
 #include "la/simd.h"
 #include "opt/simplex.h"
+#include "persist/store.h"
 #include "serve/engine.h"
 #include "serve/graph_registry.h"
 #include "util/rng.h"
@@ -828,6 +833,127 @@ void BM_EngineUpdateGraphValueOnlyLazy(benchmark::State& state) {
   RunUpdateGraphValueOnly(state, /*build_companion=*/false);
 }
 BENCHMARK(BM_EngineUpdateGraphValueOnlyLazy)->Arg(2000);
+
+// A store directory holding the update_stream-shaped graph (n, 4 clusters,
+// two SBM views and a 16-column attribute view, 4 shards) checkpointed at
+// registration, then `suffix` logged deltas in update_stream's mix: per ten,
+// two value-only re-weights, five pattern edits and three attribute rows.
+// Built once per suffix length; removed at exit.
+class RecoverStoreFixture {
+ public:
+  static const RecoverStoreFixture& Get(int64_t n, int64_t suffix) {
+    static std::map<std::pair<int64_t, int64_t>,
+                    std::unique_ptr<RecoverStoreFixture>>
+        cache;
+    auto& slot = cache[{n, suffix}];
+    if (slot == nullptr) slot.reset(new RecoverStoreFixture(n, suffix));
+    return *slot;
+  }
+  ~RecoverStoreFixture() {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+  RecoverStoreFixture(const RecoverStoreFixture&) = delete;
+  RecoverStoreFixture& operator=(const RecoverStoreFixture&) = delete;
+
+  const std::string& dir() const { return dir_; }
+  bool ok() const { return ok_; }
+
+ private:
+  RecoverStoreFixture(int64_t n, int64_t suffix) {
+    std::string path =
+        (std::filesystem::temp_directory_path() / "sgla_recover_XXXXXX")
+            .string();
+    if (::mkdtemp(&path[0]) == nullptr) return;
+    dir_ = path;
+    Rng rng(8191);
+    const std::vector<int32_t> labels = data::BalancedLabels(n, 4, &rng);
+    core::MultiViewGraph mvag(n, 4);
+    mvag.AddGraphView(data::SbmGraph(labels, 4, 0.008, 0.0012, &rng));
+    mvag.AddGraphView(data::SbmGraph(labels, 4, 0.005, 0.0015, &rng));
+    mvag.AddAttributeView(
+        data::GaussianAttributes(labels, 4, 16, 3.0, 3.0, &rng));
+
+    serve::GraphRegistry registry;
+    persist::StoreOptions options;
+    options.dir = dir_;
+    options.fsync = false;
+    options.checkpoint_interval = 0;  // every delta stays in the WAL suffix
+    auto store = persist::Store::Open(options, &registry);
+    if (!store.ok()) return;
+    serve::RegisterOptions register_options;
+    register_options.shards = 4;
+    if (!(*store)->Register("g", mvag, register_options).ok()) return;
+    const std::vector<graph::Edge> edges0 = mvag.graph_views()[0].edges();
+    const std::vector<graph::Edge> edges1 = mvag.graph_views()[1].edges();
+    for (int64_t d = 0; d < suffix; ++d) {
+      serve::GraphDelta delta;
+      const int64_t slot = d % 10;
+      if (slot < 2) {
+        serve::GraphViewDelta view{0, {}, {}};
+        for (int e = 0; e < 16; ++e) {
+          const graph::Edge& edge = edges0[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(edges0.size()) - 1))];
+          view.upserts.push_back({edge.u, edge.v, 0.5 + rng.Uniform()});
+        }
+        delta.graph_views.push_back(std::move(view));
+      } else if (slot < 7) {
+        serve::GraphViewDelta view{1, {}, {}};
+        for (int e = 0; e < 8; ++e) {
+          const graph::Edge& edge = edges1[static_cast<size_t>(d * 8 + e)];
+          view.removals.push_back({edge.u, edge.v});
+          const int64_t u = rng.UniformInt(0, n - 1);
+          view.upserts.push_back({u, (u + rng.UniformInt(1, n - 1)) % n, 1.0});
+        }
+        delta.graph_views.push_back(std::move(view));
+      } else {
+        serve::AttributeRowUpdate row;
+        row.row = rng.UniformInt(0, n - 1);
+        for (int64_t c = 0; c < 16; ++c) row.values.push_back(rng.Gaussian());
+        delta.attribute_rows.push_back(std::move(row));
+      }
+      if (!(*store)->Update("g", delta).ok()) return;
+    }
+    ok_ = true;
+  }
+
+  std::string dir_;
+  bool ok_ = false;
+};
+
+// Reopening a store: checkpoint load, WAL replay and the serving-state
+// build of the one graph, at a 4- and a 64-record suffix. Wall time. The
+// counters split it into RecoveryStats' phases. Informational: not in the
+// perf gate's baseline.
+void BM_StoreRecover(benchmark::State& state) {
+  const RecoverStoreFixture& fixture =
+      RecoverStoreFixture::Get(8000, state.range(0));
+  if (!fixture.ok()) {
+    state.SkipWithError("building the store fixture failed");
+    return;
+  }
+  persist::StoreOptions options;
+  options.dir = fixture.dir();
+  options.fsync = false;
+  persist::RecoveryStats stats;
+  for (auto _ : state) {
+    serve::GraphRegistry registry;
+    auto store = persist::Store::Open(options, &registry);
+    if (!store.ok()) {
+      state.SkipWithError("recovery failed");
+      return;
+    }
+    benchmark::DoNotOptimize(registry.Find("g").get());
+    stats = (*store)->recovery();
+  }
+  state.counters["load_ms"] = stats.load_ms;
+  state.counters["replay_ms"] = stats.replay_ms;
+  state.counters["build_ms"] = stats.build_ms;
+}
+BENCHMARK(BM_StoreRecover)
+    ->Arg(4)
+    ->Arg(64)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SglaCobyla(benchmark::State& state) {
   const Fixture& f = Fixture::Get(2000);

@@ -12,6 +12,7 @@
 #include "persist/checkpoint.h"
 #include "rpc/messages.h"
 #include "rpc/wire.h"
+#include "util/stopwatch.h"
 
 namespace sgla {
 namespace persist {
@@ -37,7 +38,14 @@ Status MakeDirs(const std::string& path) {
   return OkStatus();
 }
 
+double MsSince(const Stopwatch& watch) { return watch.Seconds() * 1e3; }
+
 }  // namespace
+
+struct Store::PendingGraph {
+  CheckpointData checkpoint;  ///< its mvag is the source records apply to
+  serve::RestoreState state;  ///< epoch, uids, mask and uid allocator
+};
 
 void EncodeWalRecord(const WalRecord& record, std::vector<uint8_t>* out) {
   rpc::WireWriter w;
@@ -89,6 +97,7 @@ Result<std::unique_ptr<Store>> Store::Open(const StoreOptions& options,
   if (!made.ok()) return made;
 
   std::unique_ptr<Store> store(new Store(options, registry));
+  Stopwatch phase;
 
   // Pass 1: scan the checkpoint files. The newest registration (highest
   // reg_uid) wins per id; superseded files — a crash can leave the previous
@@ -142,18 +151,23 @@ Result<std::unique_ptr<Store>> Store::Open(const StoreOptions& options,
     }
   }
 
-  // Pass 2: restore each winner into the registry at its checkpointed
-  // epoch/uids/mask. Contradictory state rejects inside Restore.
+  // Pass 2: validate each winner's epoch/uids/mask/signature against its
+  // graph before any record applies — a contradictory checkpoint fails the
+  // open here, as it would inside Restore — and hold it as a pending graph.
+  PendingGraphs pending;
   for (auto& found : newest) {
     CheckpointData& ck = found.second.data;
-    serve::RestoreState state;
-    state.epoch = ck.epoch;
-    state.view_uids = ck.view_uids;
-    state.active = ck.active;
-    state.next_view_uid = ck.next_view_uid;
-    state.views_signature = ck.views_signature;
-    auto entry = registry->Restore(ck.id, ck.mvag, ck.options, state);
-    if (!entry.ok()) return entry.status();
+    PendingGraph graph;
+    graph.state.epoch = ck.epoch;
+    graph.state.view_uids = ck.view_uids;
+    graph.state.active = ck.active;
+    graph.state.next_view_uid = ck.next_view_uid;
+    graph.state.views_signature = ck.views_signature;
+    Status valid = serve::ResolveRestoreState(
+        ck.id, static_cast<size_t>(ck.mvag.num_views()), &graph.state);
+    if (!valid.ok()) return valid;
+    // Checked; the records below move the active set on.
+    graph.state.views_signature = 0;
     GraphMeta meta;
     meta.reg_uid = ck.reg_uid;
     meta.options = ck.options;
@@ -161,26 +175,51 @@ Result<std::unique_ptr<Store>> Store::Open(const StoreOptions& options,
     store->graphs_.emplace(ck.id, std::move(meta));
     store->next_reg_uid_ =
         std::max(store->next_reg_uid_, ck.reg_uid + 1);
-    ++store->recovery_.graphs_recovered;
+    graph.checkpoint = std::move(ck);
+    pending.emplace(found.first, std::move(graph));
   }
+  store->recovery_.load_ms = MsSince(phase);
 
-  // Pass 3: replay the WAL suffix through the ordinary UpdateGraph path.
+  // Pass 3: apply the WAL suffix to the pending sources. A record costs its
+  // ApplyDelta; no serving state is built yet.
+  phase.Restart();
   WalOpenStats wal_stats;
   Wal::Options wal_options;
   wal_options.fsync = options.fsync;
   auto wal = Wal::Open(
       options.dir + "/" + kWalFileName, wal_options,
-      [&store](const uint8_t* payload, size_t size) {
-        return store->Replay(payload, size);
+      [&store, &pending](const uint8_t* payload, size_t size) {
+        return store->Replay(payload, size, &pending);
       },
       &wal_stats);
+  store->recovery_.replay_ms = MsSince(phase);
+
+  // Pass 4: build every graph once, at its final epoch — also when a record
+  // failed: ApplyDelta is validate-then-apply, so each source sits at its
+  // last good epoch, and publishing it there is what the failed open
+  // serves while the engine refuses mutations.
+  phase.Restart();
+  Status built = OkStatus();
+  for (auto& graph : pending) {
+    auto entry = registry->Restore(graph.first, graph.second.checkpoint.mvag,
+                                   graph.second.checkpoint.options,
+                                   graph.second.state);
+    if (!entry.ok()) {
+      if (built.ok()) built = entry.status();
+      continue;
+    }
+    ++store->recovery_.graphs_recovered;
+  }
+  store->recovery_.build_ms = MsSince(phase);
   if (!wal.ok()) return wal.status();
+  if (!built.ok()) return built;
   store->wal_ = std::move(*wal);
   store->recovery_.wal_tail_truncated = wal_stats.tail_truncated;
   return store;
 }
 
-Status Store::Replay(const uint8_t* payload, size_t size) {
+Status Store::Replay(const uint8_t* payload, size_t size,
+                     PendingGraphs* pending) {
   auto record = DecodeWalRecord(payload, size);
   // The frame CRC already passed, so a record that will not decode is not a
   // torn tail — the log is lying, and recovery must say so, not guess.
@@ -195,7 +234,7 @@ Status Store::Replay(const uint8_t* payload, size_t size) {
       return OkStatus();
     }
     // The pre-crash process evicted but died before unlinking the file.
-    registry_->Evict(record->id);
+    pending->erase(record->id);
     ::unlink(CheckpointPath(record->id, record->reg_uid).c_str());
     graphs_.erase(it);
     return OkStatus();
@@ -207,32 +246,40 @@ Status Store::Replay(const uint8_t* payload, size_t size) {
     ++recovery_.records_ignored;
     return OkStatus();
   }
-  auto current = registry_->Find(record->id);
-  if (current == nullptr) {
+  auto graph = pending->find(record->id);
+  if (graph == pending->end()) {
     return Internal("WAL replay lost graph '" + record->id + "'");
   }
-  if (record->epoch <= current->epoch) {
+  serve::RestoreState& state = graph->second.state;
+  if (record->epoch <= state.epoch) {
     // The checkpoint already covers this delta (checkpoints do not imply a
     // rotation, so a covered suffix is normal).
     ++recovery_.duplicates_skipped;
     return OkStatus();
   }
-  if (record->epoch != current->epoch + 1) {
+  if (record->epoch != state.epoch + 1) {
     return Internal("WAL epoch gap for graph '" + record->id + "': at epoch " +
-                    std::to_string(current->epoch) + ", next record is " +
+                    std::to_string(state.epoch) + ", next record is " +
                     std::to_string(record->epoch));
   }
-  auto applied = registry_->UpdateGraph(record->id, record->delta);
+  // Update never logs an empty delta (it bumps no epoch), nor a delta of a
+  // graph without an update source (UpdateGraph refuses it).
+  if (record->delta.empty() || !graph->second.checkpoint.options.updatable) {
+    return Internal("WAL replay de-synchronized on graph '" + record->id +
+                    "': the record at epoch " + std::to_string(record->epoch) +
+                    " could not have been logged");
+  }
+  serve::DeltaEffects effects;
+  Status applied = serve::ApplyDelta(&graph->second.checkpoint.mvag,
+                                     record->delta, state.active, &effects);
   if (!applied.ok()) {
     return Internal("WAL replay failed for graph '" + record->id +
                     "' at epoch " + std::to_string(record->epoch) + ": " +
-                    applied.status().ToString());
+                    applied.ToString());
   }
-  if ((*applied)->epoch != record->epoch) {
-    return Internal("WAL replay de-synchronized on graph '" + record->id +
-                    "': expected epoch " + std::to_string(record->epoch) +
-                    ", registry is at " + std::to_string((*applied)->epoch));
-  }
+  serve::AdvanceViewIdentity(effects, &state.view_uids, &state.active,
+                             &state.next_view_uid);
+  state.epoch = record->epoch;
   ++it->second.pending;
   ++recovery_.deltas_replayed;
   return OkStatus();

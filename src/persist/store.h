@@ -2,6 +2,7 @@
 #define SGLA_PERSIST_STORE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,13 +46,18 @@ struct StoreOptions {
   int64_t checkpoint_interval = 64;
 };
 
-/// What recovery found and did.
+/// What recovery found and did, and where its time went. The three phase
+/// times are disjoint parts of Store::Open, so they sum to at most its wall
+/// time.
 struct RecoveryStats {
-  size_t graphs_recovered = 0;   ///< checkpoints restored into the registry
-  size_t deltas_replayed = 0;    ///< WAL deltas re-applied through UpdateGraph
+  size_t graphs_recovered = 0;   ///< graphs recovery published
+  size_t deltas_replayed = 0;    ///< WAL deltas applied to checkpointed graphs
   size_t duplicates_skipped = 0; ///< records at/below their checkpoint epoch
   size_t records_ignored = 0;    ///< records of evicted/replaced registrations
   bool wal_tail_truncated = false;
+  double load_ms = 0.0;    ///< reading and decoding the checkpoint files
+  double replay_ms = 0.0;  ///< scanning the WAL, applying records to sources
+  double build_ms = 0.0;   ///< building each graph's serving state, once
 };
 
 /// Durable front of a GraphRegistry: every mutation goes through here and is
@@ -61,13 +67,18 @@ struct RecoveryStats {
 /// between the two); Checkpoint compacts a graph's WAL suffix into a fresh
 /// checkpoint and truncates the log once every graph is covered.
 ///
-/// Open() recovers: the newest valid checkpoint per graph restores through
-/// GraphRegistry::Restore, then the WAL suffix replays through the ordinary
-/// UpdateGraph path — so a recovered engine's solves are bit-identical to
-/// the pre-crash process (same rebuild code, same inputs, same order). Any
-/// corrupt checkpoint or impossible record sequence is a typed error that
-/// fails the open; only the torn WAL tail (bytes whose append never
-/// returned) is silently dropped.
+/// Open() recovers: the newest valid checkpoint per graph is loaded and its
+/// state validated, the WAL suffix applies record by record to that graph's
+/// source (serve::ApplyDelta, the uid rule of serve::AdvanceViewIdentity),
+/// and once the scan ends each graph builds its serving state once, at its
+/// final epoch, through GraphRegistry::Restore. A recovered engine's solves
+/// are bit-identical to the pre-crash process because every updated epoch
+/// equals a fresh registration of its graph (DESIGN.md "Replay
+/// semantics"). Any corrupt checkpoint or impossible record sequence is a
+/// typed error that fails the open (after a bad record, every graph is
+/// still published at its last good epoch, and the engine refuses
+/// mutations); only the torn WAL tail (bytes whose append never returned)
+/// is silently dropped.
 class Store {
  public:
   static Result<std::unique_ptr<Store>> Open(const StoreOptions& options,
@@ -95,8 +106,13 @@ class Store {
   Store(const StoreOptions& options, serve::GraphRegistry* registry)
       : options_(options), registry_(registry) {}
 
+  /// A checkpointed graph during recovery: its source and bookkeeping, which
+  /// the WAL records advance before the one build (defined in store.cc).
+  struct PendingGraph;
+  using PendingGraphs = std::map<std::string, PendingGraph>;
+
   std::string CheckpointPath(const std::string& id, uint64_t reg_uid) const;
-  Status Replay(const uint8_t* payload, size_t size);
+  Status Replay(const uint8_t* payload, size_t size, PendingGraphs* pending);
 
   /// Durable bookkeeping of one live registration.
   struct GraphMeta {

@@ -152,8 +152,26 @@ Status ApplyDelta(core::MultiViewGraph* mvag, const GraphDelta& delta,
     for (const EdgeRemoval& r : d.removals) {
       edge_removals.insert(EdgeKey(r.u, r.v));
     }
+    // Nodes some edit names: an edge with an unnamed endpoint matches no
+    // edit, so it skips both lookups. (An out-of-range endpoint, which only
+    // an unbuilt checkpoint can hold, takes the lookups and matches none.)
+    std::vector<bool> named(static_cast<size_t>(n), false);
+    for (const EdgeUpsert& u : d.upserts) {
+      named[static_cast<size_t>(u.u)] = named[static_cast<size_t>(u.v)] = true;
+    }
+    for (const EdgeRemoval& r : d.removals) {
+      named[static_cast<size_t>(r.u)] = named[static_cast<size_t>(r.v)] = true;
+    }
+    const auto unnamed = [&named, n](int64_t node) {
+      return node >= 0 && node < n && !named[static_cast<size_t>(node)];
+    };
     size_t w = 0;
     for (size_t i = 0; i < edges.size(); ++i) {
+      if (unnamed(edges[i].u) || unnamed(edges[i].v)) {
+        if (w != i) edges[w] = edges[i];
+        ++w;
+        continue;
+      }
       const std::pair<int64_t, int64_t> key =
           EdgeKey(edges[i].u, edges[i].v);
       // Removed-then-upserted edges are re-inserted fresh (appended below),

@@ -174,6 +174,55 @@ const CoarseGraphEntry* CoarseCompanion::get() const {
   return companion_.get();
 }
 
+Status ResolveRestoreState(const std::string& id, size_t num_views,
+                           RestoreState* state) {
+  if (state->view_uids.empty()) {
+    state->view_uids.resize(num_views);
+    for (size_t v = 0; v < num_views; ++v) {
+      state->view_uids[v] = static_cast<uint64_t>(v) + 1;
+    }
+  } else if (state->view_uids.size() != num_views) {
+    return InvalidArgument("restore state for '" + id + "' carries " +
+                           std::to_string(state->view_uids.size()) +
+                           " view uids for " + std::to_string(num_views) +
+                           " views");
+  }
+  if (state->active.empty()) {
+    state->active.assign(num_views, true);
+  } else if (state->active.size() != num_views) {
+    return InvalidArgument("restore state for '" + id +
+                           "' activity mask does not match the view count");
+  }
+  bool any_active = false;
+  for (size_t v = 0; v < num_views; ++v) {
+    any_active = any_active || state->active[v];
+  }
+  if (!any_active) {
+    return InvalidArgument("restore state for '" + id + "' masks every view");
+  }
+  if (state->next_view_uid == 0) state->next_view_uid = num_views + 1;
+  if (state->views_signature != 0 &&
+      state->views_signature !=
+          ActiveViewsSignature(state->view_uids, state->active)) {
+    return InvalidArgument("restore state for '" + id +
+                           "' active-set signature mismatch");
+  }
+  return OkStatus();
+}
+
+void AdvanceViewIdentity(const DeltaEffects& effects,
+                         std::vector<uint64_t>* view_uids,
+                         std::vector<bool>* active, uint64_t* next_view_uid) {
+  std::vector<uint64_t> uids(effects.carried_from.size());
+  for (size_t v = 0; v < uids.size(); ++v) {
+    const int from = effects.carried_from[v];
+    uids[v] = from >= 0 ? (*view_uids)[static_cast<size_t>(from)]
+                        : (*next_view_uid)++;
+  }
+  *view_uids = std::move(uids);
+  *active = effects.active;
+}
+
 std::unique_ptr<core::LaplacianAggregator> GraphRegistry::MakeAggregator(
     const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries) {
   std::shared_ptr<util::TaskQueue> queue;
@@ -196,52 +245,17 @@ std::unique_ptr<core::LaplacianAggregator> GraphRegistry::MakeAggregator(
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
     std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
     std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
-    const RestoreState* restore) {
-  // Registration-time active-set state: every view active, uids 1..V (an
-  // update source's AddView continues from next_view_uid). A restore
-  // installs the checkpointed state instead, after validating it against
-  // the rebuilt views — contradictory state rejects rather than serving a
-  // graph whose lifecycle stamps would lie.
-  if (restore != nullptr && !restore->view_uids.empty()) {
-    if (restore->view_uids.size() != entry->views.size()) {
-      return InvalidArgument("restore state for '" + entry->id + "' carries " +
-                             std::to_string(restore->view_uids.size()) +
-                             " view uids for " +
-                             std::to_string(entry->views.size()) + " views");
-    }
-    entry->view_uids = restore->view_uids;
-  }
-  if (entry->view_uids.size() != entry->views.size()) {
-    entry->view_uids.resize(entry->views.size());
-    for (size_t v = 0; v < entry->views.size(); ++v) {
-      entry->view_uids[v] = static_cast<uint64_t>(v) + 1;
-    }
-  }
-  if (restore != nullptr && !restore->active.empty()) {
-    if (restore->active.size() != entry->views.size()) {
-      return InvalidArgument("restore state for '" + entry->id +
-                             "' activity mask does not match the view count");
-    }
-    bool any_active = false;
-    for (size_t v = 0; v < restore->active.size(); ++v) {
-      any_active = any_active || restore->active[v];
-    }
-    if (!any_active) {
-      return InvalidArgument("restore state for '" + entry->id +
-                             "' masks every view");
-    }
-    entry->active = restore->active;
-  } else {
-    entry->active.assign(entry->views.size(), true);
-  }
-  if (restore != nullptr) entry->epoch = restore->epoch;
+    RestoreState state) {
+  // Contradictory state rejects rather than serving a graph whose lifecycle
+  // stamps would lie; a default state resolves to the registration one.
+  Status resolved = ResolveRestoreState(entry->id, entry->views.size(), &state);
+  if (!resolved.ok()) return resolved;
+  entry->epoch = state.epoch;
+  entry->view_uids = std::move(state.view_uids);
+  entry->active = std::move(state.active);
   entry->robust_views = options.robust_views;
   BuildActiveState(entry.get());
-  if (restore != nullptr && restore->views_signature != 0 &&
-      restore->views_signature != entry->views_signature) {
-    return InvalidArgument("restore state for '" + entry->id +
-                           "' active-set signature mismatch");
-  }
+  if (source != nullptr) source->next_view_uid = state.next_view_uid;
   const std::vector<la::CsrMatrix>* serving =
       entry->active_views.empty() ? &entry->views : &entry->active_views;
   entry->aggregator = MakeAggregator(
@@ -268,27 +282,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
     const std::string& id, const core::MultiViewGraph& mvag,
     const RegisterOptions& options) {
-  // The expensive part (KNN construction, Laplacians, union pattern) runs
-  // before the lock, so registration never stalls concurrent Find/Evict.
-  auto views = core::ComputeViewLaplacians(mvag, options.knn);
-  if (!views.ok()) return views.status();
-  auto entry = std::make_shared<GraphEntry>();
-  entry->id = id;
-  entry->num_nodes = mvag.num_nodes();
-  entry->num_clusters = mvag.num_clusters();
-  entry->views = std::move(*views);
-  // The working copy UpdateGraph deltas accumulate into. Roughly doubles
-  // the registration-time graph footprint, in exchange for updates that
-  // touch only what a delta changed; options.updatable = false declines.
-  std::shared_ptr<GraphSource> source;
-  if (options.updatable) {
-    source = std::make_shared<GraphSource>();
-    source->mvag = mvag;
-    source->knn = options.knn;
-    // Registration consumes uids 1..V (see Publish); AddView continues here.
-    source->next_view_uid = entry->views.size() + 1;
-  }
-  return Publish(std::move(entry), options, std::move(source), &mvag);
+  return Restore(id, mvag, options, RestoreState());
 }
 
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
@@ -302,8 +296,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
     const std::string& id, const core::MultiViewGraph& mvag,
     const RegisterOptions& options, const RestoreState& state) {
-  // Identical to Register except the checkpointed epoch/uids/mask replace
-  // the registration defaults.
+  // The expensive part (KNN construction, Laplacians, union pattern) runs
+  // before the lock, so registration never stalls concurrent Find/Evict.
   auto views = core::ComputeViewLaplacians(mvag, options.knn);
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<GraphEntry>();
@@ -311,16 +305,17 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
   entry->num_nodes = mvag.num_nodes();
   entry->num_clusters = mvag.num_clusters();
   entry->views = std::move(*views);
+  // The working copy UpdateGraph deltas accumulate into. Roughly doubles
+  // the registration-time graph footprint, in exchange for updates that
+  // touch only what a delta changed; options.updatable = false declines.
+  // Publish sets its uid allocator.
   std::shared_ptr<GraphSource> source;
   if (options.updatable) {
     source = std::make_shared<GraphSource>();
     source->mvag = mvag;
     source->knn = options.knn;
-    source->next_view_uid = state.next_view_uid != 0
-                                ? state.next_view_uid
-                                : entry->views.size() + 1;
   }
-  return Publish(std::move(entry), options, std::move(source), &mvag, &state);
+  return Publish(std::move(entry), options, std::move(source), &mvag, state);
 }
 
 Result<SourceSnapshot> GraphRegistry::SnapshotSource(
@@ -374,7 +369,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::RegisterViews(
   entry->num_nodes = views[0].rows;
   entry->num_clusters = num_clusters;
   entry->views = std::move(views);
-  return Publish(std::move(entry), options, nullptr, nullptr);
+  return Publish(std::move(entry), options, nullptr, nullptr, RestoreState());
 }
 
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
@@ -442,6 +437,10 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   entry->num_clusters = old->num_clusters;
   entry->coarsen_ratio = old->coarsen_ratio;
   entry->robust_views = old->robust_views;
+  entry->view_uids = old->view_uids;
+  entry->active = old->active;
+  AdvanceViewIdentity(effects, &entry->view_uids, &entry->active,
+                      &source->next_view_uid);
 
   if (effects.lifecycle || was_masked) {
     // View-lifecycle epoch (or an edit while some view is masked): the view
@@ -449,18 +448,12 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     // rebuild the serving state from scratch over the active subset, which
     // is exactly what registering that subset fresh would build (the
     // bit-identity contract for masked/removed-view solves). Carried,
-    // unedited views copy their Laplacians bitwise; carried uids keep the
-    // active-set signature honest; masked views stay resident so UnmaskView
-    // is a flip, not a KNN re-run.
+    // unedited views copy their Laplacians bitwise; masked views stay
+    // resident so UnmaskView is a flip, not a KNN re-run.
     const size_t post = effects.carried_from.size();
     entry->views.resize(post);
-    entry->view_uids.resize(post);
-    entry->active = effects.active;
     for (size_t v = 0; v < post; ++v) {
       const int from = effects.carried_from[v];
-      entry->view_uids[v] =
-          from >= 0 ? old->view_uids[static_cast<size_t>(from)]
-                    : source->next_view_uid++;
       if (from >= 0 && !affected[v]) {
         entry->views[v] = old->views[static_cast<size_t>(from)];
         continue;
@@ -492,9 +485,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   }
 
   entry->views.resize(old->views.size());
-  entry->view_uids = old->view_uids;
-  entry->active = old->active;  // all active on this path
-  entry->views_signature = old->views_signature;
+  entry->views_signature = old->views_signature;  // same uids, all active
   bool value_only = true;
   // Only a companion that was already built is maintained; an unbuilt one
   // stays lazy (`built()` never builds, unlike a nullptr comparison).

@@ -217,6 +217,24 @@ struct RestoreState {
   uint64_t views_signature = 0;
 };
 
+/// Checks `state` against a graph of `num_views` views and fills in the
+/// registration defaults it leaves empty (uids 1..V, every view active, next
+/// uid V + 1). Fails with InvalidArgument when the uid count or the mask
+/// size disagrees with the view count, when every view is masked, or when a
+/// non-zero `views_signature` contradicts the uids and mask. Restore runs it
+/// on every entry it publishes; WAL recovery runs it on each checkpoint
+/// before the first record applies.
+Status ResolveRestoreState(const std::string& id, size_t num_views,
+                           RestoreState* state);
+
+/// Carries a graph's view identities across one applied delta: a carried
+/// view keeps its uid, an added view takes `*next_view_uid` (which then
+/// advances), and the activity mask becomes `effects.active`. UpdateGraph
+/// and WAL recovery both advance a graph through this one rule.
+void AdvanceViewIdentity(const DeltaEffects& effects,
+                         std::vector<uint64_t>* view_uids,
+                         std::vector<bool>* active, uint64_t* next_view_uid);
+
 /// A consistent copy of one graph's update source plus the entry snapshot it
 /// corresponds to, taken under the per-id update lock (so no delta lands
 /// between the two). What Engine::Checkpoint persists.
@@ -288,13 +306,14 @@ class GraphRegistry {
       const std::string& id, const GraphDelta& delta);
 
   /// Register() with the checkpointed mutable state installed instead of the
-  /// registration defaults: the entry comes back at `state.epoch` with the
-  /// checkpointed view uids, activity mask and uid allocator, and the serving
-  /// aggregator is rebuilt from scratch over the active subset (the coarse
-  /// companion builds lazily) — exactly what the lifecycle-update path
-  /// builds, so recovered solves are bit-identical to the pre-crash process.
-  /// Fails on duplicate id or on state that contradicts the graph (uid count
-  /// vs view count, empty active set, signature mismatch).
+  /// registration defaults (Register is Restore with a default state): the
+  /// entry comes back at `state.epoch` with the given view uids, activity
+  /// mask and uid allocator, and the serving aggregator is built from
+  /// scratch over the active subset (the coarse companion builds lazily) —
+  /// what a fresh registration of that subset builds, which every updated
+  /// epoch equals, so recovered solves are bit-identical to the pre-crash
+  /// process. Fails on duplicate id or on state that contradicts the graph
+  /// (see ResolveRestoreState).
   Result<std::shared_ptr<const GraphEntry>> Restore(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options, const RestoreState& state);
@@ -332,13 +351,12 @@ class GraphRegistry {
 
   /// `mvag` (may be null for RegisterViews entries) supplies the attribute
   /// rows the lazy coarse build re-runs KNN on (averaged per coarse row,
-  /// with `options.knn`). `restore` (null for plain registration) swaps the
-  /// registration-default epoch / uids / activity mask for checkpointed ones
-  /// (see Restore).
+  /// with `options.knn`). `state` is resolved against the entry's views and
+  /// installed as its epoch / uids / activity mask (see Restore).
   Result<std::shared_ptr<const GraphEntry>> Publish(
       std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
       std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
-      const RestoreState* restore = nullptr);
+      RestoreState state);
 
   /// The serving aggregator over `views`, partitioned at `boundaries`.
   /// Multi-shard partitions run their jobs on the registry's shard queue,

@@ -4,15 +4,18 @@
 // error, never crash), Store recovery semantics (duplicate / gap /
 // foreign-registration records), engine-level recovery bit-identity across
 // close + reopen including lifecycle deltas, the recovery-failure gate
-// (mutations refuse on an unreadable directory), checkpoint compaction, and
-// a TSAN hammer racing WAL appends against Solve/Update/Evict/Checkpoint.
+// (mutations refuse on an unreadable directory), checkpoint compaction,
+// recovery phase times, a seeded recovered == uninterrupted oracle, and a
+// TSAN hammer racing WAL appends against Solve/Update/Evict/Checkpoint.
 #include <dirent.h>
 #include <stdlib.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -790,6 +793,42 @@ TEST(StoreTest, CheckpointCompactsTheWal) {
   EXPECT_EQ(registry.Find("g")->epoch, 7);
 }
 
+TEST(StoreTest, RecoveryPhaseTimesAreFilledAndFitTheOpen) {
+  const std::string dir = MakeTempDir();
+  {
+    serve::GraphRegistry registry;
+    persist::StoreOptions options;
+    options.dir = dir;
+    options.fsync = false;
+    options.checkpoint_interval = 0;
+    auto store = persist::Store::Open(options, &registry);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    serve::RegisterOptions register_options;
+    register_options.coarsen_ratio = 0.0;
+    ASSERT_TRUE(
+        (*store)->Register("g", TestFixture(), register_options).ok());
+    for (int64_t e = 1; e <= 3; ++e) {
+      ASSERT_TRUE((*store)->Update("g", TestDelta(e)).ok());
+    }
+  }
+  serve::GraphRegistry registry;
+  persist::StoreOptions options;
+  options.dir = dir;
+  options.fsync = false;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto store = persist::Store::Open(options, &registry);
+  const double open_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const persist::RecoveryStats& stats = (*store)->recovery();
+  EXPECT_EQ(stats.deltas_replayed, 3u);
+  EXPECT_GT(stats.load_ms, 0.0);
+  EXPECT_GT(stats.replay_ms, 0.0);
+  EXPECT_GT(stats.build_ms, 0.0);
+  EXPECT_LE(stats.load_ms + stats.replay_ms + stats.build_ms, open_ms);
+}
+
 TEST(StoreTest, CorruptCheckpointFailsRecoveryAndGatesMutations) {
   const std::string dir = MakeTempDir();
   {
@@ -880,6 +919,297 @@ TEST(StoreTest, CheckpointWithoutDataDirIsFailedPrecondition) {
   auto epoch = engine.Checkpoint("g");
   ASSERT_FALSE(epoch.ok());
   EXPECT_EQ(epoch.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded recovered == uninterrupted oracle. Each seed draws a graph (two SBM
+// views, one attribute view) and 8-40 deltas: value-only re-weights, pattern
+// edits, attribute rows, mask/unmask, AddView and RemoveView, with an
+// explicit Checkpoint at a random epoch, sometimes an auto-checkpoint
+// interval, a reopen mid-stream, and an evict + re-register. A durable
+// engine runs the stream beside an in-memory one; after the final reopen the
+// recovered entry and its exact SGLA and SGLA+ solves must equal the
+// in-memory engine's bit for bit. SGLA_RECOVERY_ORACLE_SEED replays the one
+// seed a red run printed.
+// ---------------------------------------------------------------------------
+
+enum class StreamOp { kDelta, kCheckpoint, kReopen, kReregister };
+
+struct StreamStep {
+  StreamOp op = StreamOp::kDelta;
+  serve::GraphDelta delta;  ///< kDelta only
+};
+
+struct RecoveryStream {
+  core::MultiViewGraph initial;
+  std::vector<StreamStep> steps;
+  int64_t checkpoint_interval = 0;
+};
+
+core::MultiViewGraph RandomFixture(int64_t n, Rng* rng) {
+  const int k = 3;
+  const std::vector<int32_t> labels = data::BalancedLabels(n, k, rng);
+  core::MultiViewGraph mvag(n, k);
+  mvag.AddGraphView(data::SbmGraph(labels, k, 0.08, 0.01, rng));
+  mvag.AddGraphView(data::SbmGraph(labels, k, 0.05, 0.02, rng));
+  mvag.AddAttributeView(data::GaussianAttributes(labels, k, 4, 3.0, 0.9, rng));
+  return mvag;
+}
+
+/// One random valid delta against `mvag` with activity mask `active`.
+serve::GraphDelta RandomStreamDelta(const core::MultiViewGraph& mvag,
+                                    const std::vector<bool>& active,
+                                    Rng* rng) {
+  const int64_t n = mvag.num_nodes();
+  const int num_graphs = static_cast<int>(mvag.graph_views().size());
+  const int num_attributes = static_cast<int>(mvag.attribute_views().size());
+  const int total = num_graphs + num_attributes;
+  int num_active = 0;
+  for (bool a : active) num_active += a ? 1 : 0;
+  serve::GraphDelta delta;
+  for (;;) {
+    switch (rng->UniformInt(0, 6)) {
+      case 0:    // value-only re-weights of existing edges
+      case 1: {  // pattern edit: removals and insertions
+        if (num_graphs == 0) break;
+        serve::GraphViewDelta edits;
+        edits.view = static_cast<int>(rng->UniformInt(0, num_graphs - 1));
+        const std::vector<graph::Edge>& edges =
+            mvag.graph_views()[static_cast<size_t>(edits.view)].edges();
+        if (edges.empty()) break;
+        for (int64_t i = rng->UniformInt(1, 6); i > 0; --i) {
+          const graph::Edge& e = edges[static_cast<size_t>(
+              rng->UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+          edits.upserts.push_back({e.u, e.v, 0.2 + 1.5 * rng->Uniform()});
+        }
+        if (rng->Uniform() < 0.5) {
+          const graph::Edge& e = edges[static_cast<size_t>(
+              rng->UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+          edits.removals.push_back({e.u, e.v});
+          const int64_t u = rng->UniformInt(0, n - 1);
+          edits.upserts.push_back(
+              {u, (u + rng->UniformInt(1, n - 1)) % n, 1.0});
+        }
+        delta.graph_views.push_back(std::move(edits));
+        return delta;
+      }
+      case 2: {  // attribute row
+        if (num_attributes == 0) break;
+        serve::AttributeRowUpdate row;
+        row.view = static_cast<int>(rng->UniformInt(0, num_attributes - 1));
+        row.row = rng->UniformInt(0, n - 1);
+        row.values.resize(static_cast<size_t>(
+            mvag.attribute_views()[static_cast<size_t>(row.view)].cols()));
+        for (double& x : row.values) x = 3.0 * rng->Gaussian();
+        delta.attribute_rows.push_back(std::move(row));
+        return delta;
+      }
+      case 3: {  // mask an active view, keeping one active
+        if (num_active < 2) break;
+        int v = 0;
+        do {
+          v = static_cast<int>(rng->UniformInt(0, total - 1));
+        } while (!active[static_cast<size_t>(v)]);
+        delta.mask_views = {v};
+        return delta;
+      }
+      case 4: {  // unmask a masked view
+        if (num_active == total) break;
+        int v = 0;
+        do {
+          v = static_cast<int>(rng->UniformInt(0, total - 1));
+        } while (active[static_cast<size_t>(v)]);
+        delta.unmask_views = {v};
+        return delta;
+      }
+      case 5: {  // AddView, graph or attribute
+        if (total >= 5) break;
+        serve::ViewAddition addition;
+        addition.attribute = rng->Uniform() < 0.5;
+        if (addition.attribute) {
+          addition.attributes = la::DenseMatrix(n, 3);
+          for (int64_t i = 0; i < n; ++i) {
+            for (int64_t j = 0; j < 3; ++j) {
+              addition.attributes(i, j) = rng->Gaussian();
+            }
+          }
+        } else {
+          addition.graph = graph::Graph(n);
+          for (int64_t m = 0; m < 3 * n; ++m) {
+            const int64_t u = rng->UniformInt(0, n - 1);
+            addition.graph.AddEdge(u, (u + rng->UniformInt(1, n - 1)) % n,
+                                   0.5 + rng->Uniform());
+          }
+        }
+        delta.add_views.push_back(std::move(addition));
+        return delta;
+      }
+      default: {  // RemoveView, keeping one view and one active view
+        if (total < 2) break;
+        const int v = static_cast<int>(rng->UniformInt(0, total - 1));
+        if (active[static_cast<size_t>(v)] && num_active < 2) break;
+        delta.remove_views = {v};
+        return delta;
+      }
+    }
+  }
+}
+
+RecoveryStream MakeRecoveryStream(uint64_t seed) {
+  Rng rng(seed);
+  const int64_t sizes[] = {120, 197, 263};
+  RecoveryStream stream;
+  stream.initial = RandomFixture(sizes[seed % 3], &rng);
+  stream.checkpoint_interval =
+      rng.Uniform() < 0.5 ? 0 : rng.UniformInt(3, 12);
+  const int64_t num_deltas = rng.UniformInt(8, 40);
+  const int64_t checkpoint_at = rng.UniformInt(1, num_deltas);
+  const int64_t reopen_at = rng.UniformInt(1, num_deltas);
+  const int64_t reregister_at =
+      rng.Uniform() < 0.4 ? rng.UniformInt(1, num_deltas) : -1;
+  core::MultiViewGraph mvag = stream.initial;
+  std::vector<bool> active(static_cast<size_t>(mvag.num_views()), true);
+  for (int64_t d = 1; d <= num_deltas; ++d) {
+    StreamStep step;
+    step.delta = RandomStreamDelta(mvag, active, &rng);
+    serve::DeltaEffects effects;
+    EXPECT_TRUE(serve::ApplyDelta(&mvag, step.delta, active, &effects).ok());
+    active = effects.active;
+    stream.steps.push_back(std::move(step));
+    if (d == checkpoint_at) stream.steps.push_back({StreamOp::kCheckpoint, {}});
+    if (d == reopen_at) stream.steps.push_back({StreamOp::kReopen, {}});
+    if (d == reregister_at) {
+      stream.steps.push_back({StreamOp::kReregister, {}});
+      mvag = stream.initial;
+      active.assign(static_cast<size_t>(mvag.num_views()), true);
+    }
+  }
+  return stream;
+}
+
+/// The bits of an exact solve of "g": weights, objective history, labels.
+struct SolveBits {
+  std::vector<double> weights;
+  std::vector<double> history;
+  std::vector<int32_t> labels;
+};
+
+SolveBits ExactSolveBits(serve::Engine* engine, serve::Algorithm algorithm) {
+  serve::SolveRequest request;
+  request.graph_id = "g";
+  request.algorithm = algorithm;
+  request.options.base.max_evaluations = 4;
+  request.kmeans.num_init = 1;
+  auto response = engine->Solve(request);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  if (!response.ok()) return {};
+  return {response->integration.weights,
+          response->integration.objective_history, response->labels};
+}
+
+void ExpectSameSolve(const SolveBits& got, const SolveBits& want) {
+  EXPECT_EQ(got.weights, want.weights);
+  EXPECT_EQ(got.history, want.history);
+  EXPECT_EQ(got.labels, want.labels);
+}
+
+/// A durable engine over its own registry, reopenable on one directory.
+struct DurableEngine {
+  std::unique_ptr<serve::GraphRegistry> registry;
+  std::unique_ptr<serve::Engine> engine;  ///< destroyed before the registry
+
+  void Open(const std::string& dir, int64_t checkpoint_interval) {
+    engine.reset();
+    registry = std::make_unique<serve::GraphRegistry>();
+    serve::EngineOptions options;
+    options.data_dir = dir;
+    options.persist_fsync = false;
+    options.checkpoint_interval = checkpoint_interval;
+    engine = std::make_unique<serve::Engine>(registry.get(), options);
+  }
+};
+
+void RunRecoveryOracle(uint64_t seed) {
+  const RecoveryStream stream = MakeRecoveryStream(seed);
+  const std::string fixture =
+      "SGLA_RECOVERY_ORACLE_SEED=" + std::to_string(seed) +
+      " n=" + std::to_string(stream.initial.num_nodes()) +
+      " steps=" + std::to_string(stream.steps.size()) +
+      " checkpoint_interval=" + std::to_string(stream.checkpoint_interval);
+  std::printf("recovery oracle %s\n", fixture.c_str());
+  SCOPED_TRACE(fixture);
+
+  serve::RegisterOptions options;
+  options.coarsen_ratio = 0.0;
+  serve::GraphRegistry memory_registry;
+  serve::Engine memory(&memory_registry);
+  ASSERT_TRUE(memory.RegisterGraph("g", stream.initial, options).ok());
+  const std::string dir = MakeTempDir();
+  DurableEngine durable;
+  durable.Open(dir, stream.checkpoint_interval);
+  ASSERT_TRUE(durable.engine->recovery_status().ok());
+  ASSERT_TRUE(
+      durable.engine->RegisterGraph("g", stream.initial, options).ok());
+
+  for (size_t s = 0; s < stream.steps.size(); ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    const StreamStep& step = stream.steps[s];
+    switch (step.op) {
+      case StreamOp::kDelta: {
+        auto want = memory.UpdateGraph("g", step.delta);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        auto got = durable.engine->UpdateGraph("g", step.delta);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        break;
+      }
+      case StreamOp::kCheckpoint: {
+        auto epoch = durable.engine->Checkpoint("g");
+        ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+        EXPECT_EQ(*epoch, memory_registry.Find("g")->epoch);
+        break;
+      }
+      case StreamOp::kReopen:
+        durable.Open(dir, stream.checkpoint_interval);
+        ASSERT_TRUE(durable.engine->recovery_status().ok())
+            << durable.engine->recovery_status().ToString();
+        ASSERT_NE(durable.registry->Find("g"), nullptr);
+        EXPECT_EQ(EntryHash(*durable.registry->Find("g")),
+                  EntryHash(*memory_registry.Find("g")));
+        break;
+      case StreamOp::kReregister:
+        ASSERT_TRUE(memory.EvictGraph("g"));
+        ASSERT_TRUE(memory.RegisterGraph("g", stream.initial, options).ok());
+        ASSERT_TRUE(durable.engine->EvictGraph("g"));
+        ASSERT_TRUE(
+            durable.engine->RegisterGraph("g", stream.initial, options).ok());
+        break;
+    }
+  }
+
+  durable.Open(dir, stream.checkpoint_interval);
+  ASSERT_TRUE(durable.engine->recovery_status().ok())
+      << durable.engine->recovery_status().ToString();
+  EXPECT_EQ(durable.engine->recovery_stats().graphs_recovered, 1u);
+  auto recovered = durable.registry->Find("g");
+  ASSERT_NE(recovered, nullptr);
+  const auto uninterrupted = memory_registry.Find("g");
+  EXPECT_EQ(recovered->epoch, uninterrupted->epoch);
+  EXPECT_EQ(EntryHash(*recovered), EntryHash(*uninterrupted));
+  for (serve::Algorithm algorithm :
+       {serve::Algorithm::kSgla, serve::Algorithm::kSglaPlus}) {
+    ExpectSameSolve(ExactSolveBits(durable.engine.get(), algorithm),
+                    ExactSolveBits(&memory, algorithm));
+  }
+}
+
+TEST(StoreTest, SeededRandomRecoveredEqualsUninterrupted) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("SGLA_RECOVERY_ORACLE_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t seed = 1; seed <= 16; ++seed) seeds.push_back(seed);
+  }
+  for (uint64_t seed : seeds) RunRecoveryOracle(seed);
 }
 
 // ---------------------------------------------------------------------------
