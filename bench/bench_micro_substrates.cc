@@ -770,9 +770,48 @@ BENCHMARK(BM_AggregatorBuild)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// A 16-edge pattern delta — 8 removals and 8 insertions in the second view,
+// so at most 32 rows change — patched into the aggregator built over the
+// views before it: what a pattern-changing update pays for its union
+// pattern, next to BM_AggregatorBuild's full build over the same views.
+// Wall time. Informational: not in the perf gate's baseline.
+void BM_AggregatorPatch(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const std::vector<graph::Graph> graphs = WorkloadSbmViews(n);
+  std::vector<la::CsrMatrix> before;
+  for (const graph::Graph& g : graphs) {
+    before.push_back(graph::NormalizedLaplacian(g));
+  }
+  Rng rng(4243);
+  std::vector<graph::Edge> edges = graphs[1].edges();
+  for (int e = 0; e < 8; ++e) {
+    edges.erase(edges.begin() +
+                rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1));
+  }
+  for (int e = 0; e < 8; ++e) {
+    const int64_t u = rng.UniformInt(0, n - 1);
+    edges.push_back({u, (u + rng.UniformInt(1, n - 1)) % n, 1.0});
+  }
+  std::vector<la::CsrMatrix> after = before;
+  after[1] = graph::NormalizedLaplacian(
+      graph::Graph::FromEdges(n, std::move(edges)));
+  const core::LaplacianAggregator previous(&before);
+  int64_t changed = 0;
+  for (auto _ : state) {
+    core::LaplacianAggregator patched(&after, {}, nullptr, &previous);
+    changed = static_cast<int64_t>(patched.changed_rows().size());
+    benchmark::DoNotOptimize(patched.pattern().col_idx.data());
+  }
+  state.counters["changed_rows"] = static_cast<double>(changed);
+}
+BENCHMARK(BM_AggregatorPatch)
+    ->Arg(8000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Steady-state incremental updates: a value-only delta (weight nudges on
 // existing edges) absorbed by UpdateGraph's copy-on-write epoch swap. The
-// epoch build allocates by design (new entry + donor aggregator); recorded
+// epoch build allocates by design (new entry + aggregator); recorded
 // for the perf trajectory, not alloc-gated. `build_companion` builds the
 // coarse companion before the loop, so every update also maintains it (the
 // cost a graph serving fast requests pays); otherwise it is never built.
@@ -833,6 +872,63 @@ void BM_EngineUpdateGraphValueOnlyLazy(benchmark::State& state) {
   RunUpdateGraphValueOnly(state, /*build_companion=*/false);
 }
 BENCHMARK(BM_EngineUpdateGraphValueOnlyLazy)->Arg(2000);
+
+// Pattern-changing updates on the update_stream-shaped graph (n, 4
+// clusters, two SBM views and a 16-column attribute view, 4 shards): each
+// iteration is one UpdateGraph of 8 removals and 8 insertions in graph view
+// 1, alternately applying a fixed edit and undoing it, so every update
+// changes the pattern and the graph never drifts. The coarse companion
+// stays unbuilt, as on update_stream. Wall time; the epoch build allocates
+// by design. Informational: not in the perf gate's baseline.
+void BM_EngineUpdateGraphPattern(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(8191);
+  const std::vector<int32_t> labels = data::BalancedLabels(n, 4, &rng);
+  core::MultiViewGraph mvag(n, 4);
+  mvag.AddGraphView(data::SbmGraph(labels, 4, 0.008, 0.0012, &rng));
+  mvag.AddGraphView(data::SbmGraph(labels, 4, 0.005, 0.0015, &rng));
+  mvag.AddAttributeView(
+      data::GaussianAttributes(labels, 4, 16, 3.0, 3.0, &rng));
+  serve::GraphRegistry registry;
+  serve::RegisterOptions options;
+  options.shards = 4;
+  if (!registry.Register("bench", mvag, options).ok()) {
+    state.SkipWithError("Register failed");
+    return;
+  }
+  // Forward: drop 8 existing edges, add 8 new pairs. Back: the reverse.
+  serve::GraphDelta forward;
+  serve::GraphDelta back;
+  serve::GraphViewDelta apply{1, {}, {}};
+  serve::GraphViewDelta undo{1, {}, {}};
+  const std::vector<graph::Edge>& edges = mvag.graph_views()[1].edges();
+  for (int e = 0; e < 8; ++e) {
+    const graph::Edge& edge = edges[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+    apply.removals.push_back({edge.u, edge.v});
+    undo.upserts.push_back({edge.u, edge.v, edge.weight});
+    const int64_t u = rng.UniformInt(0, n - 1);
+    const int64_t v = (u + rng.UniformInt(1, n - 1)) % n;
+    apply.upserts.push_back({u, v, 1.0});
+    undo.removals.push_back({u, v});
+  }
+  forward.graph_views.push_back(std::move(apply));
+  back.graph_views.push_back(std::move(undo));
+  bool applied = false;
+  for (auto _ : state) {
+    auto updated = registry.UpdateGraph("bench", applied ? back : forward);
+    if (!updated.ok()) {
+      state.SkipWithError("UpdateGraph failed");
+      return;
+    }
+    applied = !applied;
+  }
+  state.SetLabel(la::simd::ActiveIsaName());
+}
+BENCHMARK(BM_EngineUpdateGraphPattern)
+    ->Arg(8000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // A store directory holding the update_stream-shaped graph (n, 4 clusters,
 // two SBM views and a 16-column attribute view, 4 shards) checkpointed at

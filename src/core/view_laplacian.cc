@@ -1,9 +1,31 @@
 #include "core/view_laplacian.h"
 
+#include <string>
+
 #include "graph/laplacian.h"
 
 namespace sgla {
 namespace core {
+namespace {
+
+/// A graph view must span the graph's node set and name only its nodes: an
+/// out-of-range endpoint is the caller's error, not a process abort.
+Status CheckGraphView(const graph::Graph& g, int64_t num_nodes) {
+  if (g.num_nodes() != num_nodes) {
+    return InvalidArgument("graph view node count mismatch");
+  }
+  for (const graph::Edge& e : g.edges()) {
+    if (e.u < 0 || e.u >= num_nodes || e.v < 0 || e.v >= num_nodes) {
+      return InvalidArgument("graph view edge (" + std::to_string(e.u) +
+                             ", " + std::to_string(e.v) +
+                             ") has an endpoint outside [0, " +
+                             std::to_string(num_nodes) + ")");
+    }
+  }
+  return OkStatus();
+}
+
+}  // namespace
 
 Result<std::vector<la::CsrMatrix>> ComputeViewLaplacians(
     const MultiViewGraph& mvag, const graph::KnnOptions& knn) {
@@ -13,9 +35,8 @@ Result<std::vector<la::CsrMatrix>> ComputeViewLaplacians(
   const Status knn_valid = graph::ValidateKnnOptions(knn);
   if (!knn_valid.ok()) return knn_valid;
   for (const graph::Graph& g : mvag.graph_views()) {
-    if (g.num_nodes() != mvag.num_nodes()) {
-      return InvalidArgument("graph view node count mismatch");
-    }
+    const Status valid = CheckGraphView(g, mvag.num_nodes());
+    if (!valid.ok()) return valid;
   }
   for (const la::DenseMatrix& x : mvag.attribute_views()) {
     if (x.rows() != mvag.num_nodes()) {
@@ -50,9 +71,8 @@ Result<la::CsrMatrix> ComputeViewLaplacian(const MultiViewGraph& mvag,
   if (!knn_valid.ok()) return knn_valid;
   if (view < num_graphs) {
     const graph::Graph& g = mvag.graph_views()[static_cast<size_t>(view)];
-    if (g.num_nodes() != mvag.num_nodes()) {
-      return InvalidArgument("graph view node count mismatch");
-    }
+    const Status valid = CheckGraphView(g, mvag.num_nodes());
+    if (!valid.ok()) return valid;
     return graph::NormalizedLaplacian(g);
   }
   const la::DenseMatrix& x =

@@ -102,7 +102,13 @@ Result<core::MultiViewGraph> ReadMvagFrom(std::istream& in,
     }
     graph::Graph g(view_nodes);
     for (size_t e = 0; e < weights.size(); ++e) {
-      g.AddEdge(endpoints[2 * e], endpoints[2 * e + 1], weights[e]);
+      const int64_t u = endpoints[2 * e];
+      const int64_t w = endpoints[2 * e + 1];
+      if (u < 0 || u >= view_nodes || w < 0 || w >= view_nodes) {
+        return InvalidArgument("MVAG graph view edge endpoint out of range: " +
+                               what);
+      }
+      g.AddEdge(u, w, weights[e]);
     }
     mvag.AddGraphView(std::move(g));
   }

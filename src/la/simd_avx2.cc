@@ -161,7 +161,7 @@ void Avx2SpmvRows(const int64_t* row_ptr, const int64_t* col_idx,
   }
 }
 
-void Avx2SellSpmv(const int64_t* slice_ptr, const int64_t* col_idx,
+void Avx2SellSpmv(const int64_t* slice_ptr, const int32_t* col_idx,
                   const double* values, const int64_t* row_len,
                   const int64_t* perm, const double* x, double* y,
                   int64_t slice_begin, int64_t slice_end) {
@@ -174,14 +174,14 @@ void Avx2SellSpmv(const int64_t* slice_ptr, const int64_t* col_idx,
     // leaves every lane's FMA chain (and therefore its bits) unchanged.
     for (int64_t j = 0; j < width; ++j) {
       const int64_t at = (begin + j) * 8;
-      const __m256i idx_lo = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(col_idx + at));
-      const __m256i idx_hi = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(col_idx + at + 4));
+      const __m128i idx_lo = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(col_idx + at));
+      const __m128i idx_hi = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(col_idx + at + 4));
       acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(values + at),
-                               _mm256_i64gather_pd(x, idx_lo, 8), acc_lo);
+                               _mm256_i32gather_pd(x, idx_lo, 8), acc_lo);
       acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(values + at + 4),
-                               _mm256_i64gather_pd(x, idx_hi, 8), acc_hi);
+                               _mm256_i32gather_pd(x, idx_hi, 8), acc_hi);
     }
     alignas(32) double lane[8];
     _mm256_store_pd(lane, acc_lo);

@@ -133,7 +133,7 @@ void Avx512SpmvRows(const int64_t* row_ptr, const int64_t* col_idx,
   }
 }
 
-void Avx512SellSpmv(const int64_t* slice_ptr, const int64_t* col_idx,
+void Avx512SellSpmv(const int64_t* slice_ptr, const int32_t* col_idx,
                     const double* values, const int64_t* row_len,
                     const int64_t* perm, const double* x, double* y,
                     int64_t slice_begin, int64_t slice_end) {
@@ -146,9 +146,10 @@ void Avx512SellSpmv(const int64_t* slice_ptr, const int64_t* col_idx,
     __m512d acc = _mm512_setzero_pd();
     for (int64_t j = 0; j < width; ++j) {
       const int64_t at = (begin + j) * 8;
-      const __m512i idx = _mm512_loadu_si512(col_idx + at);
+      const __m256i idx = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(col_idx + at));
       acc = _mm512_fmadd_pd(_mm512_loadu_pd(values + at),
-                            _mm512_i64gather_pd(idx, x, 8), acc);
+                            _mm512_i32gather_pd(idx, x, 8), acc);
     }
     alignas(64) double lane[8];
     _mm512_store_pd(lane, acc);

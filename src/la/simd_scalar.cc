@@ -58,7 +58,7 @@ void ScalarSpmvRows(const int64_t* row_ptr, const int64_t* col_idx,
   }
 }
 
-void ScalarSellSpmv(const int64_t* slice_ptr, const int64_t* col_idx,
+void ScalarSellSpmv(const int64_t* slice_ptr, const int32_t* col_idx,
                     const double* values, const int64_t* row_len,
                     const int64_t* perm, const double* x, double* y,
                     int64_t slice_begin, int64_t slice_end) {

@@ -52,7 +52,7 @@ struct KernelTable {
   /// ghost lanes in the final ragged slice). The scalar variant iterates
   /// row_len entries per lane (skipping padding) so its bits match the
   /// plain CSR row loop exactly; vector variants run the padded width.
-  void (*sell_spmv)(const int64_t* slice_ptr, const int64_t* col_idx,
+  void (*sell_spmv)(const int64_t* slice_ptr, const int32_t* col_idx,
                     const double* values, const int64_t* row_len,
                     const int64_t* perm, const double* x, double* y,
                     int64_t slice_begin, int64_t slice_end);

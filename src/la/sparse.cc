@@ -121,25 +121,44 @@ void SpmvRows(const CsrMatrix& m, const double* x, double* y,
       });
 }
 
-void BuildSellPattern(const CsrMatrix& m, SellMatrix* out) {
+void BuildSellPattern(const CsrMatrix& m, SellMatrix* out,
+                      const SellMatrix* previous,
+                      const std::vector<uint8_t>* changed_rows) {
   out->rows = m.rows;
   out->cols = m.cols;
   const int64_t num_slices = (m.rows + kSellLanes - 1) / kSellLanes;
   const int64_t num_slots = num_slices * kSellLanes;
+  const auto nnz_of = [&m](int64_t r) {
+    return m.row_ptr[static_cast<size_t>(r) + 1] -
+           m.row_ptr[static_cast<size_t>(r)];
+  };
+  if (previous != nullptr) {
+    SGLA_CHECK(previous->rows == m.rows && changed_rows != nullptr &&
+               changed_rows->size() == static_cast<size_t>(m.rows))
+        << "SELL reuse needs the earlier pattern of a same-size CSR";
+  }
+  const auto window_changed = [changed_rows](int64_t lo, int64_t hi) {
+    return std::any_of(changed_rows->begin() + lo, changed_rows->begin() + hi,
+                       [](uint8_t flag) { return flag != 0; });
+  };
 
   // Row permutation: descending nnz within each σ window, ascending row
   // index among equals, windows in natural order. The index tie-break makes
   // plain std::sort (in-place, no temporary buffer) produce exactly the
   // stable order. Shard boundaries are multiples of the window size, so a
-  // shard slice's permutation is the matching sub-range of the full one.
-  out->perm.assign(static_cast<size_t>(num_slots), -1);
-  std::iota(out->perm.begin(), out->perm.begin() + m.rows, int64_t{0});
-  const auto nnz_of = [&m](int64_t r) {
-    return m.row_ptr[static_cast<size_t>(r) + 1] -
-           m.row_ptr[static_cast<size_t>(r)];
-  };
+  // shard slice's permutation is the matching sub-range of the full one. A
+  // window whose rows all kept their lengths sorts the same way, so it
+  // copies the earlier order.
+  out->perm.resize(static_cast<size_t>(num_slots));
+  std::fill(out->perm.begin() + m.rows, out->perm.end(), int64_t{-1});
   for (int64_t lo = 0; lo < m.rows; lo += kSellSortWindow) {
     const int64_t hi = std::min(m.rows, lo + kSellSortWindow);
+    if (previous != nullptr && !window_changed(lo, hi)) {
+      std::copy(previous->perm.begin() + lo, previous->perm.begin() + hi,
+                out->perm.begin() + lo);
+      continue;
+    }
+    std::iota(out->perm.begin() + lo, out->perm.begin() + hi, lo);
     std::sort(out->perm.begin() + lo, out->perm.begin() + hi,
               [&nnz_of](int64_t a, int64_t b) {
                 const int64_t na = nnz_of(a);
@@ -148,45 +167,74 @@ void BuildSellPattern(const CsrMatrix& m, SellMatrix* out) {
               });
   }
 
+  // A slice is reused when it holds the same rows in the same lanes as the
+  // earlier form and none of them changed: its row lengths, width and
+  // lane-minor column block are then the earlier ones.
+  std::vector<uint8_t> reused(static_cast<size_t>(num_slices), 0);
   out->row_len.assign(static_cast<size_t>(num_slots), 0);
   out->slice_ptr.assign(static_cast<size_t>(num_slices) + 1, 0);
   for (int64_t s = 0; s < num_slices; ++s) {
+    const size_t first = static_cast<size_t>(s * kSellLanes);
+    bool same = previous != nullptr;
+    for (int64_t l = 0; same && l < kSellLanes; ++l) {
+      const int64_t row = out->perm[first + static_cast<size_t>(l)];
+      same = row == previous->perm[first + static_cast<size_t>(l)] &&
+             (row < 0 || (*changed_rows)[static_cast<size_t>(row)] == 0);
+    }
+    reused[static_cast<size_t>(s)] = same ? 1 : 0;
     int64_t width = 0;
     for (int64_t l = 0; l < kSellLanes; ++l) {
-      const int64_t slot = s * kSellLanes + l;
-      const int64_t row = out->perm[static_cast<size_t>(slot)];
+      const size_t slot = first + static_cast<size_t>(l);
+      const int64_t row = out->perm[slot];
       if (row < 0) continue;  // ghost lane in the final slice
       const int64_t len = nnz_of(row);
-      out->row_len[static_cast<size_t>(slot)] = len;
+      out->row_len[slot] = len;
       width = std::max(width, len);
     }
     out->slice_ptr[static_cast<size_t>(s) + 1] =
         out->slice_ptr[static_cast<size_t>(s)] + width;
   }
 
-  const size_t padded =
-      static_cast<size_t>(out->slice_ptr[static_cast<size_t>(num_slices)] *
-                          kSellLanes);
-  out->col_idx.assign(padded, 0);
-  out->values.assign(padded, 0.0);
-  out->value_slot.assign(static_cast<size_t>(m.nnz()), 0);
+  const int64_t padded =
+      out->slice_ptr[static_cast<size_t>(num_slices)] * kSellLanes;
+  SGLA_CHECK(padded <= INT32_MAX && m.cols <= INT32_MAX)
+      << "SELL form exceeds 32-bit indices (" << padded << " slots)";
+  out->col_idx.assign(static_cast<size_t>(padded), 0);
+  out->value_slot.resize(static_cast<size_t>(m.nnz()));
   for (int64_t s = 0; s < num_slices; ++s) {
     const int64_t base = out->slice_ptr[static_cast<size_t>(s)] * kSellLanes;
+    if (reused[static_cast<size_t>(s)] != 0) {
+      const int64_t prev_base =
+          previous->slice_ptr[static_cast<size_t>(s)] * kSellLanes;
+      const int64_t span =
+          out->slice_ptr[static_cast<size_t>(s) + 1] * kSellLanes - base;
+      std::copy(previous->col_idx.begin() + prev_base,
+                previous->col_idx.begin() + prev_base + span,
+                out->col_idx.begin() + base);
+    }
     for (int64_t l = 0; l < kSellLanes; ++l) {
       const int64_t slot = s * kSellLanes + l;
       const int64_t row = out->perm[static_cast<size_t>(slot)];
       if (row < 0) continue;
       const int64_t start = m.row_ptr[static_cast<size_t>(row)];
       const int64_t len = out->row_len[static_cast<size_t>(slot)];
+      int32_t* slots = out->value_slot.data() + start;
       for (int64_t j = 0; j < len; ++j) {
-        const int64_t at = base + j * kSellLanes + l;
-        out->col_idx[static_cast<size_t>(at)] =
-            m.col_idx[static_cast<size_t>(start + j)];
-        out->values[static_cast<size_t>(at)] =
-            m.values[static_cast<size_t>(start + j)];
-        out->value_slot[static_cast<size_t>(start + j)] = at;
+        slots[j] = static_cast<int32_t>(base + j * kSellLanes + l);
+      }
+      if (reused[static_cast<size_t>(s)] != 0) continue;
+      const int64_t* cols = m.col_idx.data() + start;
+      for (int64_t j = 0; j < len; ++j) {
+        out->col_idx[static_cast<size_t>(base + j * kSellLanes + l)] =
+            static_cast<int32_t>(cols[j]);
       }
     }
+  }
+
+  out->values.clear();
+  if (m.values.size() == static_cast<size_t>(m.nnz())) {
+    out->values.assign(static_cast<size_t>(padded), 0.0);
+    FillSellValues(m.values, out);
   }
 }
 

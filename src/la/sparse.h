@@ -50,24 +50,40 @@ constexpr int64_t kSellSortWindow = 512;
 /// The pattern arrays (everything except `values`) are a pure function of
 /// the CSR sparsity; `values` is refreshed in place from new CSR values via
 /// `value_slot`, so a bound SellMatrix rides along with the zero-allocation
-/// aggregation workspaces.
+/// aggregation workspaces. Column indices and value slots are 32-bit, which
+/// halves the index bytes each SpMV streams: columns fit because graphs
+/// hold at most INT32_MAX nodes, slots because BuildSellPattern checks the
+/// padded size.
 struct SellMatrix {
   int64_t rows = 0;
   int64_t cols = 0;
   std::vector<int64_t> slice_ptr;  ///< num_slices + 1, in column steps
-  std::vector<int64_t> col_idx;    ///< slice_ptr.back() * kSellLanes
+  std::vector<int32_t> col_idx;    ///< slice_ptr.back() * kSellLanes
   std::vector<double> values;      ///< same size as col_idx
   std::vector<int64_t> row_len;    ///< per slot: unpadded row length
   std::vector<int64_t> perm;       ///< per slot: source row, < 0 for ghosts
-  std::vector<int64_t> value_slot; ///< CSR entry p -> index into values
+  std::vector<int32_t> value_slot; ///< CSR entry p -> index into values
   int64_t num_slices() const {
     return static_cast<int64_t>(slice_ptr.size()) - 1;
   }
 };
 
 /// (Re)builds `out` as the SELL form of `m`, reusing its buffers' capacity.
-/// Values are copied from m along with the pattern.
-void BuildSellPattern(const CsrMatrix& m, SellMatrix* out);
+/// Values are copied from m when m carries them (m.values.size() ==
+/// m.nnz()); a pattern-only m leaves out->values empty.
+///
+/// `previous` (optional) is the SELL pattern of an earlier CSR with the
+/// same row count, and `changed_rows` flags, per row of m, whether its
+/// sparsity differs from that earlier CSR's (nonzero = changed); rows not
+/// flagged must hold exactly the same columns in both. A σ window holding
+/// no changed row then keeps the earlier permutation, and a slice holding
+/// the same rows in the same lanes, none changed, copies its lane-minor
+/// column block (its value slots are recomputed at the slice's new
+/// offset); every other slice fills from m. Either way the result is the
+/// bytes a build without `previous` produces.
+void BuildSellPattern(const CsrMatrix& m, SellMatrix* out,
+                      const SellMatrix* previous = nullptr,
+                      const std::vector<uint8_t>* changed_rows = nullptr);
 
 /// Overwrites out->values from `csr_values` (size out->value_slot.size(),
 /// the source CSR's nnz) through the value_slot map. Allocation-free;

@@ -100,7 +100,7 @@ struct DeltaEffects {
   /// mask/unmask flips applied; added views are active).
   std::vector<bool> active;
   /// Any lifecycle op was present (registry epochs rebuild serving state
-  /// from scratch instead of donor-copying).
+  /// from scratch instead of patching the previous epoch's).
   bool lifecycle = false;
 };
 

@@ -1,5 +1,7 @@
 #include "serve/graph_registry.h"
 
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -16,6 +18,29 @@ namespace {
 // — the exact solve is already cheap there.
 constexpr double kCoarseChurnThreshold = 0.05;
 constexpr int64_t kMinCoarsenFineRows = 64;
+
+// Serving indexes columns and SELL slots in 32 bits (la::SellMatrix), so a
+// graph must fit them: at most INT32_MAX nodes, and few enough view entries
+// that the padded SELL form (at most kSellLanes slots per union entry, and
+// the union holds at most the views' summed entries) does too.
+Status CheckIndexRange(const std::string& id, int64_t num_nodes,
+                       const std::vector<la::CsrMatrix>* views) {
+  if (num_nodes > INT32_MAX) {
+    return InvalidArgument("graph '" + id + "' has " +
+                           std::to_string(num_nodes) +
+                           " nodes; at most INT32_MAX are supported");
+  }
+  int64_t entries = 0;
+  for (size_t v = 0; views != nullptr && v < views->size(); ++v) {
+    entries += (*views)[v].nnz();
+  }
+  if (entries > INT32_MAX / la::kSellLanes) {
+    return InvalidArgument("graph '" + id + "' has " +
+                           std::to_string(entries) +
+                           " Laplacian entries, past the 32-bit index range");
+  }
+  return OkStatus();
+}
 
 // Order-sensitive FNV-1a fold of the active view uids — the active-set
 // epoch stamp (GraphEntry::views_signature). Masking, unmasking, adding, or
@@ -224,7 +249,8 @@ void AdvanceViewIdentity(const DeltaEffects& effects,
 }
 
 std::unique_ptr<core::LaplacianAggregator> GraphRegistry::MakeAggregator(
-    const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries) {
+    const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries,
+    const core::LaplacianAggregator* previous) {
   std::shared_ptr<util::TaskQueue> queue;
   if (boundaries.size() > 2) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -239,7 +265,7 @@ std::unique_ptr<core::LaplacianAggregator> GraphRegistry::MakeAggregator(
   }
   return std::unique_ptr<core::LaplacianAggregator>(
       new core::LaplacianAggregator(views, std::move(boundaries),
-                                    std::move(queue)));
+                                    std::move(queue), previous));
 }
 
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
@@ -250,6 +276,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
   // stamps would lie; a default state resolves to the registration one.
   Status resolved = ResolveRestoreState(entry->id, entry->views.size(), &state);
   if (!resolved.ok()) return resolved;
+  Status in_range = CheckIndexRange(entry->id, entry->num_nodes, &entry->views);
+  if (!in_range.ok()) return in_range;
   entry->epoch = state.epoch;
   entry->view_uids = std::move(state.view_uids);
   entry->active = std::move(state.active);
@@ -296,6 +324,9 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
     const std::string& id, const core::MultiViewGraph& mvag,
     const RegisterOptions& options, const RestoreState& state) {
+  // Rejected before any per-node allocation.
+  Status in_range = CheckIndexRange(id, mvag.num_nodes(), nullptr);
+  if (!in_range.ok()) return in_range;
   // The expensive part (KNN construction, Laplacians, union pattern) runs
   // before the lock, so registration never stalls concurrent Find/Evict.
   auto views = core::ComputeViewLaplacians(mvag, options.knn);
@@ -444,7 +475,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
 
   if (effects.lifecycle || was_masked) {
     // View-lifecycle epoch (or an edit while some view is masked): the view
-    // set changed shape, so the donor-copy machinery below does not apply —
+    // set changed shape, so the per-row patch below does not apply —
     // rebuild the serving state from scratch over the active subset, which
     // is exactly what registering that subset fresh would build (the
     // bit-identity contract for masked/removed-view solves). Carried,
@@ -486,19 +517,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
 
   entry->views.resize(old->views.size());
   entry->views_signature = old->views_signature;  // same uids, all active
-  bool value_only = true;
-  // Only a companion that was already built is maintained; an unbuilt one
-  // stays lazy (`built()` never builds, unlike a nullptr comparison).
-  const CoarseGraphEntry* old_coarse =
-      old->coarse.built() ? old->coarse.get() : nullptr;
-  // Fine rows whose *structural* slots changed in some view, and their count
-  // (churn). The coarse plan is a pure function of structure, so these rows
-  // are exactly the ones that can invalidate it.
-  std::vector<bool> changed_rows;
-  int64_t churn = 0;
-  if (old_coarse != nullptr) {
-    changed_rows.assign(static_cast<size_t>(old->num_nodes), false);
-  }
   // Attribute rows the entry pins: a delta that edits no attribute view
   // shares the previous epoch's.
   bool attributes_touched = false;
@@ -513,56 +531,38 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     // Unreachable after validation; if it ever fires the source may lead the
     // published epoch — evict and re-register to resynchronize.
     if (!laplacian.ok()) return laplacian.status();
-    const bool same_pattern = laplacian->row_ptr == old->views[v].row_ptr &&
-                              laplacian->col_idx == old->views[v].col_idx;
-    value_only = value_only && same_pattern;
-    if (!same_pattern && old_coarse != nullptr) {
-      const la::CsrMatrix& now = *laplacian;
-      const la::CsrMatrix& was = old->views[v];
-      for (int64_t i = 0; i < old->num_nodes; ++i) {
-        if (changed_rows[static_cast<size_t>(i)]) continue;
-        const int64_t begin = now.row_ptr[static_cast<size_t>(i)];
-        const int64_t count = now.row_ptr[static_cast<size_t>(i) + 1] - begin;
-        const int64_t was_begin = was.row_ptr[static_cast<size_t>(i)];
-        bool diff =
-            count != was.row_ptr[static_cast<size_t>(i) + 1] - was_begin;
-        for (int64_t p = 0; !diff && p < count; ++p) {
-          diff = now.col_idx[static_cast<size_t>(begin + p)] !=
-                 was.col_idx[static_cast<size_t>(was_begin + p)];
-        }
-        if (diff) {
-          changed_rows[static_cast<size_t>(i)] = true;
-          ++churn;
-        }
-      }
-    }
     entry->views[v] = std::move(*laplacian);
   }
 
-  // Value-only deltas donor-copy the union pattern + scatter maps under the
-  // *same* pattern_id, so session workspaces bound to the previous epoch
-  // re-scatter values without any rebinding. Pattern-changing deltas re-run
-  // the union merge on the same row partition.
-  if (value_only) {
-    entry->aggregator.reset(
-        new core::LaplacianAggregator(&entry->views, *old->aggregator));
-  } else {
-    entry->aggregator =
-        MakeAggregator(&entry->views, old->aggregator->boundaries());
-  }
+  // Same view set, same row partition: the new aggregator diffs every
+  // view's row patterns against the previous epoch's. With none changed it
+  // shares the previous pattern object under the *same* pattern_id, so
+  // session workspaces bound to the previous epoch re-scatter values
+  // without rebinding; otherwise only the changed rows re-merge.
+  entry->aggregator = MakeAggregator(
+      &entry->views, old->aggregator->boundaries(), old->aggregator.get());
+  // The fine rows whose *structural* slots changed in some view, and their
+  // count (churn). The coarse plan is a pure function of structure, so
+  // these rows are exactly the ones that can invalidate it.
+  const std::vector<int64_t>& changed = entry->aggregator->changed_rows();
+  const int64_t churn = static_cast<int64_t>(changed.size());
 
   entry->attributes = attributes_touched
                           ? PinAttributes(*entry, source->mvag)
                           : old->attributes;
 
-  // Coarse companion maintenance (DESIGN.md "Tiered serving"). Value-only
-  // deltas provably preserve the plan, so only the touched views re-contract
-  // — and when their coarse patterns survive too, the coarse aggregator
-  // donor-copies like the fine one. Localized structural churn repairs the
-  // affected clusters in place; once the churn summed since the plan was
-  // last built from scratch passes the limit, it re-coarsens from scratch
-  // (which also makes update-then-solve equal re-register-then-solve on
-  // that epoch). An unbuilt companion stays lazy.
+  // Coarse companion maintenance (DESIGN.md "Tiered serving"). Only a
+  // companion that was already built is maintained; an unbuilt one stays
+  // lazy (`built()` never builds, unlike a nullptr comparison). Value-only
+  // deltas provably preserve the plan, so only the touched views
+  // re-contract — and the coarse aggregator shares or patches its
+  // predecessor's pattern like the fine one. Localized structural churn
+  // repairs the affected clusters in place; once the churn summed since the
+  // plan was last built from scratch passes the limit, it re-coarsens from
+  // scratch (which also makes update-then-solve equal
+  // re-register-then-solve on that epoch).
+  const CoarseGraphEntry* old_coarse =
+      old->coarse.built() ? old->coarse.get() : nullptr;
   if (old_coarse == nullptr) {
     DeferCoarse(entry.get(), source->knn);
   } else {
@@ -576,11 +576,13 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
       companion->churn = total_churn;
       const bool plan_unchanged = churn == 0;
       if (!plan_unchanged) {
+        std::vector<bool> changed_rows(static_cast<size_t>(entry->num_nodes),
+                                       false);
+        for (int64_t r : changed) changed_rows[static_cast<size_t>(r)] = true;
         coarse::RepairCoarsePlan(entry->aggregator->pattern(), entry->views,
                                  changed_rows, &companion->plan);
       }
       companion->views = old_coarse->views;
-      bool coarse_value_only = plan_unchanged;
       for (size_t v = 0; v < entry->views.size(); ++v) {
         // A repaired plan changes the coarse node set, so every view must
         // re-contract; an unchanged plan re-contracts only touched views.
@@ -590,18 +592,16 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
           companion.reset();
           break;
         }
-        coarse_value_only =
-            coarse_value_only &&
-            view->row_ptr == old_coarse->views[v].row_ptr &&
-            view->col_idx == old_coarse->views[v].col_idx;
         companion->views[v] = std::move(*view);
       }
       if (companion != nullptr) {
-        companion->aggregator.reset(
-            coarse_value_only
-                ? new core::LaplacianAggregator(&companion->views,
-                                                *old_coarse->aggregator)
-                : new core::LaplacianAggregator(&companion->views));
+        // A repair that kept the coarse row count still diffs against the
+        // previous coarse views; one that changed it merges every row.
+        const bool same_rows =
+            companion->plan.coarse_rows == old_coarse->plan.coarse_rows;
+        companion->aggregator.reset(new core::LaplacianAggregator(
+            &companion->views, {}, nullptr,
+            same_rows ? old_coarse->aggregator.get() : nullptr));
       }
     }
     if (companion != nullptr) {

@@ -281,11 +281,12 @@ class GraphRegistry {
   ///
   /// Cost scales with what the delta touched: only affected views'
   /// Laplacians are recomputed (attribute rows re-run that view's KNN), and
-  /// when no view changes sparsity the new epoch's aggregators donor-copy
-  /// the previous pattern/scatter state — same pattern_id, so bound solve
-  /// workspaces skip rebinding entirely. Pattern-changing deltas rebuild the
-  /// union pattern whole, on the same row partition. An empty delta returns
-  /// the current entry without bumping the epoch.
+  /// the new epoch's aggregators are built from the previous ones on the
+  /// same row partition: when no view changes sparsity they share the
+  /// previous pattern object — same pattern_id, so bound solve workspaces
+  /// skip rebinding entirely — and otherwise only the rows whose pattern
+  /// changed re-merge (see core::LaplacianAggregator). An empty delta
+  /// returns the current entry without bumping the epoch.
   ///
   /// Lifecycle deltas (AddView/RemoveView/MaskView/UnmaskView), and any
   /// delta applied while some view is masked, rebuild the serving
@@ -358,13 +359,15 @@ class GraphRegistry {
       std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
       RestoreState state);
 
-  /// The serving aggregator over `views`, partitioned at `boundaries`.
+  /// The serving aggregator over `views`, partitioned at `boundaries`,
+  /// patched from `previous` when given (see core::LaplacianAggregator).
   /// Multi-shard partitions run their jobs on the registry's shard queue,
   /// created lazily at the first sharded registration and shared by every
   /// sharded entry (aggregators hold the shared_ptr, so snapshots outliving
   /// the registry keep a live queue).
   std::unique_ptr<core::LaplacianAggregator> MakeAggregator(
-      const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries);
+      const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries,
+      const core::LaplacianAggregator* previous = nullptr);
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const GraphEntry>> graphs_;

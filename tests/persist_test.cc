@@ -899,6 +899,50 @@ TEST(StoreTest, CraftedKnnOptionsFailRecoveryWithATypedError) {
   }
 }
 
+TEST(StoreTest, CraftedEdgeEndpointFailsRecoveryWithATypedError) {
+  // A checkpoint whose bytes and CRC are intact but whose graph view names
+  // a node past the node count: recovery must report InvalidArgument, not
+  // abort the process while building the view's adjacency.
+  const std::string dir = MakeTempDir();
+  const int64_t n = 50;
+  {
+    serve::GraphRegistry registry;
+    serve::EngineOptions options;
+    options.data_dir = dir;
+    options.persist_fsync = false;
+    serve::Engine engine(&registry, options);
+    ASSERT_TRUE(engine.recovery_status().ok());
+    ASSERT_TRUE(engine.RegisterGraph("g", TestFixture(n), {}).ok());
+  }
+  const std::string checkpoint_path = FindCheckpointFile(dir);
+  ASSERT_NE(checkpoint_path, "");
+  auto loaded = persist::LoadCheckpoint(checkpoint_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  loaded->mvag.mutable_graph_view(0)->AddEdge(0, 999, 1.0);
+  ASSERT_TRUE(persist::SaveCheckpoint(*loaded, checkpoint_path).ok());
+
+  serve::GraphRegistry registry;
+  serve::EngineOptions options;
+  options.data_dir = dir;
+  serve::Engine engine(&registry, options);
+  EXPECT_EQ(engine.recovery_status().code(), StatusCode::kInvalidArgument)
+      << engine.recovery_status().ToString();
+  EXPECT_EQ(registry.Find("g"), nullptr);
+}
+
+TEST(StoreTest, RegisterRejectsOutOfRangeEdgeEndpoints) {
+  for (int64_t bad : {int64_t{-1}, int64_t{50}}) {
+    serve::GraphRegistry registry;
+    serve::Engine engine(&registry);
+    core::MultiViewGraph mvag = TestFixture(50);
+    mvag.mutable_graph_view(0)->AddEdge(0, bad, 1.0);
+    auto registered = engine.RegisterGraph("g", mvag, {});
+    ASSERT_FALSE(registered.ok());
+    EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(registry.Find("g"), nullptr);
+  }
+}
+
 TEST(StoreTest, RegisterRejectsOutOfRangeKnnOptions) {
   for (const graph::KnnOptions& knn : HostileKnnOptions()) {
     serve::GraphRegistry registry;

@@ -586,6 +586,26 @@ TEST_F(RpcServingTest, UpdateAndEvictWorkOverTheWire) {
   EXPECT_TRUE(client.Ping().ok());  // connection survived the typed error
 }
 
+TEST_F(RpcServingTest, OutOfRangeEdgeEndpointIsTypedInvalidArgument) {
+  // An edge naming node n decodes (the wire format does not know n's
+  // meaning) but registration rejects it with a typed error instead of
+  // aborting the server, and the connection keeps serving.
+  StartServing({});
+  const int64_t n = 60;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  RegisterRequest request;
+  request.id = "bad";
+  request.mvag = MakeMvag(n, 3, 11);
+  request.mvag.mutable_graph_view(0)->AddEdge(0, n, 1.0);
+  auto reply = client.Register(request);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument)
+      << reply.status().ToString();
+  EXPECT_EQ(registry_->Find("bad"), nullptr);
+  EXPECT_TRUE(client.Ping().ok());  // connection survived the typed error
+}
+
 TEST_F(RpcServingTest, HugeKnnKRegistersLikeAllOtherNodes) {
   // A wire knn_k of INT32_MAX is clamped to n - 1 before any KNN heap is
   // sized: registration succeeds and builds exactly the views k = n - 1

@@ -399,9 +399,9 @@ la::SellMatrix SerialSellPattern(const la::CsrMatrix& m) {
       for (int64_t j = 0; j < out.row_len[slot]; ++j) {
         const int64_t at = (out.slice_ptr[s] + j) * la::kSellLanes + l;
         const int64_t p = m.row_ptr[row] + j;
-        out.col_idx[at] = m.col_idx[p];
+        out.col_idx[at] = static_cast<int32_t>(m.col_idx[p]);
         out.values[at] = m.values[p];
-        out.value_slot[p] = at;
+        out.value_slot[p] = static_cast<int32_t>(at);
       }
     }
   }

@@ -2,8 +2,8 @@
 // value-only vs pattern-changing delta handling (pattern_id stamp reuse,
 // per-shard selective rebuild), the zero-allocation hot path of a
 // value-only update + re-solve, UpdateGraph racing evict/re-register
-// (TSAN-clean), and the seeded-random updated == fresh oracle over mixed
-// delta streams.
+// (TSAN-clean), the seeded-random updated == fresh oracle over mixed
+// delta streams, and the seeded patched-pattern == fresh-build property.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -258,7 +258,7 @@ TEST_P(UpdateSolveTest, ValueOnlyDeltaReusesPatternAndMatchesScratch) {
   EXPECT_NE(after->get(), before->get());
 
   // The pattern_id stamp is the value-only contract: bound workspaces must
-  // not rebind, so the donor aggregators keep the previous epoch's id.
+  // not rebind, so the new aggregators share the previous epoch's pattern.
   EXPECT_EQ((*after)->aggregator->pattern_id(), pattern_before);
   EXPECT_EQ((*after)->aggregator->boundaries(),
             (*before)->aggregator->boundaries());
@@ -408,8 +408,8 @@ TEST(UpdateGraphTest, AttributeRowUpdateRecomputesOnlyThatView) {
 // ---------------------------------------------------------------------------
 // Zero-allocation hot path: steady-state value-only update + re-solve. The
 // epoch swap itself builds a new entry (control path, allocates); the HOT
-// path — re-scattering values through the donor pattern and the eigensolve
-// in a bound workspace — must not touch the heap.
+// path — re-scattering values through the shared pattern and the
+// eigensolve in a bound workspace — must not touch the heap.
 // ---------------------------------------------------------------------------
 
 TEST(UpdateAllocationTest, ValueOnlyUpdateResolveHotPathAllocatesNothing) {
@@ -423,10 +423,14 @@ TEST(UpdateAllocationTest, ValueOnlyUpdateResolveHotPathAllocatesNothing) {
   ASSERT_TRUE(views_after.ok());
 
   core::LaplacianAggregator before_aggregator(&*views_before);
-  // The value-only donor copy: same pattern, same pattern_id.
-  core::LaplacianAggregator after_aggregator(&*views_after,
-                                             before_aggregator);
+  // A value-only epoch shares the previous pattern object, pattern_id
+  // included, and reports no changed row.
+  core::LaplacianAggregator after_aggregator(&*views_after, {}, nullptr,
+                                             &before_aggregator);
+  ASSERT_EQ(after_aggregator.union_pattern().get(),
+            before_aggregator.union_pattern().get());
   ASSERT_EQ(after_aggregator.pattern_id(), before_aggregator.pattern_id());
+  EXPECT_TRUE(after_aggregator.changed_rows().empty());
 
   const std::vector<double> w1 = {0.55, 0.45};
   const std::vector<double> w2 = {0.30, 0.70};
@@ -781,6 +785,335 @@ TEST(UpdateTest, SeededRandomUpdatedEqualsFresh) {
     const OracleStream stream = MakeOracleStream(seed);
     for (int threads : {1, 4}) {
       for (int shards : {1, 4}) RunUpdateOracle(seed, stream, threads, shards);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded patch property. Every epoch's aggregators are built from the
+// previous epoch's: shared when no row pattern changed, patched otherwise.
+// Each seed draws a graph (two SBM views, and on even seeds an attribute
+// view; odd seeds leave graph views only, so a node isolated in both has an
+// empty union row) and a shuffled stream of deltas aimed at the patch's
+// edge cases: rows 511 and 512 (the σ window edge), the last rows (the
+// ragged final slice with ghost lanes), a node whose rows empty, a removal
+// of a union slot only one view holds, an insertion that makes a row the
+// longest of its window (its slice widens), an attribute row (KNN rebuild)
+// and value-only re-weights. After every epoch, every array of the fine
+// and coarse aggregators' patterns must equal a fresh build over the same
+// views, and changed_rows() must be exactly the rows some view's pattern
+// changed in — at threads {1, 4} x shards {1, 4}. SGLA_UPDATE_ORACLE_SEED
+// replays one seed.
+// ---------------------------------------------------------------------------
+
+enum class PatchStep { kValue, kWindowEdge, kRaggedTail, kEmptyRow, kSoleSlot,
+                       kWiden, kAttribute };
+
+void ExpectSamePattern(const core::UnionPattern& got,
+                       const core::UnionPattern& want) {
+  EXPECT_EQ(got.csr.rows, want.csr.rows);
+  EXPECT_EQ(got.csr.row_ptr, want.csr.row_ptr);
+  EXPECT_EQ(got.csr.col_idx, want.csr.col_idx);
+  EXPECT_EQ(got.scatter, want.scatter);
+  EXPECT_EQ(got.sell.slice_ptr, want.sell.slice_ptr);
+  EXPECT_EQ(got.sell.col_idx, want.sell.col_idx);
+  EXPECT_EQ(got.sell.row_len, want.sell.row_len);
+  EXPECT_EQ(got.sell.perm, want.sell.perm);
+  EXPECT_EQ(got.sell.value_slot, want.sell.value_slot);
+}
+
+/// The sorted union of row `r`'s columns over `views`.
+std::set<int64_t> UnionRow(const std::vector<la::CsrMatrix>& views,
+                           int64_t r) {
+  std::set<int64_t> cols;
+  for (const la::CsrMatrix& m : views) {
+    cols.insert(m.col_idx.begin() + m.row_ptr[r],
+                m.col_idx.begin() + m.row_ptr[r + 1]);
+  }
+  return cols;
+}
+
+/// Upserts an edge from each of `rows` to a random other node and removes
+/// one existing edge touching them, in graph view `view`.
+serve::GraphViewDelta EdgesAtRows(const core::MultiViewGraph& mvag, int view,
+                                  const std::vector<int64_t>& rows, Rng* rng) {
+  serve::GraphViewDelta d;
+  d.view = view;
+  const int64_t n = mvag.num_nodes();
+  for (int64_t r : rows) {
+    d.upserts.push_back({r, (r + rng->UniformInt(1, n - 1)) % n, 0.7});
+  }
+  for (const graph::Edge& e :
+       mvag.graph_views()[static_cast<size_t>(view)].edges()) {
+    if (std::find(rows.begin(), rows.end(), e.u) != rows.end() ||
+        std::find(rows.begin(), rows.end(), e.v) != rows.end()) {
+      d.removals.push_back({e.u, e.v});
+      break;
+    }
+  }
+  return d;
+}
+
+/// Removes the edge behind an off-diagonal Laplacian entry that only graph
+/// view `view` holds, so its union slot disappears; empty when none exists.
+serve::GraphViewDelta SoleSlotRemoval(const std::vector<la::CsrMatrix>& views,
+                                      int view, Rng* rng) {
+  serve::GraphViewDelta d;
+  d.view = view;
+  const la::CsrMatrix& mine = views[static_cast<size_t>(view)];
+  const int64_t start = rng->UniformInt(0, mine.rows - 1);
+  for (int64_t i = 0; i < mine.rows && d.removals.empty(); ++i) {
+    const int64_t r = (start + i) % mine.rows;
+    for (int64_t p = mine.row_ptr[r]; p < mine.row_ptr[r + 1]; ++p) {
+      const int64_t c = mine.col_idx[p];
+      bool shared = c == r;
+      for (size_t v = 0; v < views.size() && !shared; ++v) {
+        if (static_cast<int>(v) == view) continue;
+        const la::CsrMatrix& other = views[v];
+        shared = std::binary_search(
+            other.col_idx.begin() + other.row_ptr[r],
+            other.col_idx.begin() + other.row_ptr[r + 1], c);
+      }
+      if (!shared) {
+        d.removals.push_back({r, c});
+        break;
+      }
+    }
+  }
+  return d;
+}
+
+/// Connects one node to enough new neighbors in graph view `view` that its
+/// union row becomes strictly the longest of its σ window.
+serve::GraphViewDelta WidenRow(const std::vector<la::CsrMatrix>& views,
+                               int view, Rng* rng) {
+  serve::GraphViewDelta d;
+  d.view = view;
+  const int64_t n = views[0].rows;
+  const int64_t r = rng->UniformInt(0, n - 1);
+  const int64_t lo = r / la::kSellSortWindow * la::kSellSortWindow;
+  const int64_t hi = std::min(n, lo + la::kSellSortWindow);
+  size_t longest = 0;
+  for (int64_t i = lo; i < hi; ++i) {
+    longest = std::max(longest, UnionRow(views, i).size());
+  }
+  std::set<int64_t> cols = UnionRow(views, r);
+  cols.insert(r);  // a self loop adds no entry
+  const size_t want = longest + 3;
+  while (cols.size() < want + 1) {
+    const int64_t c = rng->UniformInt(0, n - 1);
+    if (cols.insert(c).second) d.upserts.push_back({r, c, 0.4});
+  }
+  return d;
+}
+
+struct PatchStream {
+  core::MultiViewGraph initial;
+  std::vector<serve::GraphDelta> deltas;
+  std::vector<PatchStep> steps;
+  /// Per delta: the rows whose pattern changed in some view.
+  std::vector<std::vector<int64_t>> changed;
+};
+
+PatchStream MakePatchStream(uint64_t seed) {
+  const int64_t sizes[] = {613, 1030, 1537, 1100};  // all n % 8 != 0
+  const int64_t n = sizes[seed % 4];
+  const bool attributes = seed % 2 == 0;
+  const int k = 3;
+  Rng rng(seed);
+  const std::vector<int32_t> labels = data::BalancedLabels(n, k, &rng);
+  core::MultiViewGraph mvag(n, k);
+  mvag.AddGraphView(data::SbmGraph(labels, k, 0.02, 0.004, &rng));
+  mvag.AddGraphView(data::SbmGraph(labels, k, 0.012, 0.005, &rng));
+  if (attributes) {
+    mvag.AddAttributeView(
+        data::GaussianAttributes(labels, k, 6, 3.0, 0.9, &rng));
+  }
+  PatchStream stream;
+  stream.initial = mvag;
+  stream.steps = {PatchStep::kValue,    PatchStep::kWindowEdge,
+                  PatchStep::kRaggedTail, PatchStep::kEmptyRow,
+                  PatchStep::kSoleSlot, PatchStep::kWiden,
+                  PatchStep::kValue};
+  if (attributes) stream.steps.push_back(PatchStep::kAttribute);
+  rng.Shuffle(&stream.steps);
+
+  auto views = core::ComputeViewLaplacians(mvag);
+  EXPECT_TRUE(views.ok());
+  const std::vector<bool> active(static_cast<size_t>(mvag.num_views()), true);
+  for (PatchStep step : stream.steps) {
+    const int view = static_cast<int>(rng.UniformInt(0, 1));
+    serve::GraphDelta delta;
+    int64_t target = -1;  // the row a targeted step aims at
+    int64_t slot = -1;    // kSoleSlot: the column it removes from `target`
+    switch (step) {
+      case PatchStep::kValue:
+        delta.graph_views.push_back(RandomEdgeEdits(mvag, view, false, &rng));
+        break;
+      case PatchStep::kWindowEdge:
+        delta.graph_views.push_back(EdgesAtRows(
+            mvag, view, {la::kSellSortWindow - 1, la::kSellSortWindow}, &rng));
+        break;
+      case PatchStep::kRaggedTail:
+        delta.graph_views.push_back(
+            EdgesAtRows(mvag, view, {n - 2, n - 1}, &rng));
+        break;
+      case PatchStep::kEmptyRow:
+        // Isolates one node in both graph views: its rows empty in each,
+        // and in the union too when there is no attribute view.
+        target = RandomEdge(mvag, 0, &rng).u;
+        for (int g = 0; g < 2; ++g) {
+          serve::GraphViewDelta d;
+          d.view = g;
+          for (const graph::Edge& e : mvag.graph_views()[g].edges()) {
+            if (e.u == target || e.v == target) {
+              d.removals.push_back({e.u, e.v});
+            }
+          }
+          if (!d.removals.empty()) delta.graph_views.push_back(std::move(d));
+        }
+        break;
+      case PatchStep::kSoleSlot:
+        delta.graph_views.push_back(SoleSlotRemoval(*views, view, &rng));
+        if (!delta.graph_views[0].removals.empty()) {
+          target = delta.graph_views[0].removals[0].u;
+          slot = delta.graph_views[0].removals[0].v;
+        }
+        break;
+      case PatchStep::kWiden:
+        delta.graph_views.push_back(WidenRow(*views, view, &rng));
+        target = delta.graph_views[0].upserts[0].u;
+        break;
+      case PatchStep::kAttribute:
+        delta.attribute_rows.push_back(RandomAttributeRow(mvag, &rng));
+        break;
+    }
+    serve::DeltaEffects effects;
+    EXPECT_TRUE(serve::ApplyDelta(&mvag, delta, active, &effects).ok());
+    auto next = core::ComputeViewLaplacians(mvag);
+    EXPECT_TRUE(next.ok());
+    std::vector<int64_t> changed;
+    for (int64_t r = 0; r < n; ++r) {
+      for (size_t v = 0; v < next->size(); ++v) {
+        const la::CsrMatrix& a = (*views)[v];
+        const la::CsrMatrix& b = (*next)[v];
+        if (!std::equal(a.col_idx.begin() + a.row_ptr[r],
+                        a.col_idx.begin() + a.row_ptr[r + 1],
+                        b.col_idx.begin() + b.row_ptr[r],
+                        b.col_idx.begin() + b.row_ptr[r + 1])) {
+          changed.push_back(r);
+          break;
+        }
+      }
+    }
+    // Every step must do to the pattern what it names, or the stream
+    // would not exercise it.
+    SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                 std::to_string(static_cast<int>(step)));
+    EXPECT_EQ(changed.empty(), step == PatchStep::kValue);
+    const auto touched = [&changed](int64_t r) {
+      return std::binary_search(changed.begin(), changed.end(), r);
+    };
+    switch (step) {
+      case PatchStep::kWindowEdge:
+        EXPECT_TRUE(touched(la::kSellSortWindow - 1) ||
+                    touched(la::kSellSortWindow));
+        break;
+      case PatchStep::kRaggedTail:
+        EXPECT_TRUE(touched(n - 2) || touched(n - 1));
+        break;
+      case PatchStep::kEmptyRow:
+        for (int g = 0; g < 2; ++g) {
+          const la::CsrMatrix& graph_view = (*next)[g];
+          EXPECT_EQ(graph_view.row_ptr[target], graph_view.row_ptr[target + 1]);
+        }
+        if (!attributes) {
+          EXPECT_TRUE(UnionRow(*next, target).empty());
+        }
+        break;
+      case PatchStep::kSoleSlot:
+        EXPECT_GE(target, 0);
+        if (target < 0) break;
+        EXPECT_EQ(UnionRow(*views, target).count(slot), 1u);
+        EXPECT_EQ(UnionRow(*next, target).count(slot), 0u);
+        break;
+      case PatchStep::kWiden: {
+        const int64_t lo = target / la::kSellSortWindow * la::kSellSortWindow;
+        size_t longest = 0;
+        for (int64_t i = lo; i < std::min(n, lo + la::kSellSortWindow); ++i) {
+          longest = std::max(longest, UnionRow(*views, i).size());
+        }
+        EXPECT_GT(UnionRow(*next, target).size(), longest);
+        break;
+      }
+      default:
+        break;
+    }
+    stream.deltas.push_back(std::move(delta));
+    stream.changed.push_back(std::move(changed));
+    views = std::move(next);
+  }
+  return stream;
+}
+
+void RunPatchProperty(uint64_t seed, const PatchStream& stream, int threads,
+                      int shards) {
+  const std::string fixture =
+      "SGLA_UPDATE_ORACLE_SEED=" + std::to_string(seed) + " n=" +
+      std::to_string(stream.initial.num_nodes()) + " threads=" +
+      std::to_string(threads) + " shards=" + std::to_string(shards);
+  std::printf("patch property %s\n", fixture.c_str());
+  SCOPED_TRACE(fixture);
+  ThreadCountGuard guard;
+  util::ThreadPool::SetGlobalThreads(threads);
+
+  serve::RegisterOptions options;
+  options.shards = shards;
+  serve::GraphRegistry registry;
+  auto registered = registry.Register("g", stream.initial, options);
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  // A built companion is maintained by every update, so its aggregator is
+  // patched too.
+  ASSERT_NE((*registered)->coarse.get(), nullptr);
+  std::shared_ptr<const serve::GraphEntry> before = *registered;
+  for (size_t e = 0; e < stream.deltas.size(); ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e + 1) + " step " +
+                 std::to_string(static_cast<int>(stream.steps[e])));
+    auto updated = registry.UpdateGraph("g", stream.deltas[e]);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    const serve::GraphEntry& entry = **updated;
+    const core::LaplacianAggregator& got = *entry.aggregator;
+    EXPECT_EQ(got.changed_rows(), stream.changed[e]);
+    if (stream.changed[e].empty()) {
+      EXPECT_EQ(got.union_pattern(), before->aggregator->union_pattern());
+    } else {
+      EXPECT_NE(got.pattern_id(), before->aggregator->pattern_id());
+    }
+    const core::LaplacianAggregator fresh(&entry.views, got.boundaries());
+    ExpectSamePattern(*got.union_pattern(), *fresh.union_pattern());
+    ASSERT_TRUE(entry.coarse.built());
+    if (entry.coarse != nullptr) {
+      const core::LaplacianAggregator fresh_coarse(&entry.coarse->views);
+      ExpectSamePattern(*entry.coarse->aggregator->union_pattern(),
+                        *fresh_coarse.union_pattern());
+    }
+    before = *updated;
+  }
+}
+
+TEST(UpdateTest, SeededRandomPatchedPatternEqualsFreshBuild) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("SGLA_UPDATE_ORACLE_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  } else {
+    for (uint64_t i = 0; i < 8; ++i) seeds.push_back(20261101 + i);
+  }
+  for (uint64_t seed : seeds) {
+    const PatchStream stream = MakePatchStream(seed);
+    for (int threads : {1, 4}) {
+      for (int shards : {1, 4}) {
+        RunPatchProperty(seed, stream, threads, shards);
+      }
     }
   }
 }

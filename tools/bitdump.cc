@@ -22,6 +22,10 @@
 // the coarse-solve path are bit-stable across threads/shards/ISAs. It also
 // fingerprints the companion built lazily after the mask -> unmask epochs,
 // so the matrix covers a first build on an epoch that updates published.
+//
+// The final `updated` lines cover incremental updates: a pattern delta and a
+// value-only delta on the registered graph (aggregators patched from the
+// previous epoch's), then an exact SGLA solve, at either --quality.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -253,6 +257,72 @@ int Run(int shards, serve::Quality quality) {
       return 1;
     }
     std::printf("sampled weights=%016" PRIx64 " history=%016" PRIx64
+                " laplacian=%016" PRIx64 " labels=%016" PRIx64 "\n",
+                HashVector(response->integration.weights),
+                HashVector(response->integration.objective_history),
+                HashCsr(response->integration.laplacian),
+                HashVector(response->labels));
+  }
+
+  // Updated-entry fingerprints: a pattern delta (edge removals and
+  // insertions in graph view 1) and then a value-only delta (re-weights in
+  // graph view 0). Each epoch's aggregator is patched from — or, value-only,
+  // shares — the previous epoch's union pattern, so the matrix gates the
+  // patch path like the registration build; an exact SGLA solve closes it.
+  {
+    serve::GraphDelta pattern_delta;
+    serve::GraphViewDelta edits;
+    edits.view = 1;
+    const std::vector<graph::Edge>& edges = mvag.graph_views()[1].edges();
+    for (size_t e = 0; e < 8; ++e) {
+      const graph::Edge& edge = edges[e * edges.size() / 8];
+      edits.removals.push_back({edge.u, edge.v});
+    }
+    Rng edit_rng(20261022);
+    for (int e = 0; e < 8; ++e) {
+      const int64_t u = edit_rng.UniformInt(0, n - 1);
+      const int64_t v = (u + edit_rng.UniformInt(1, n - 1)) % n;
+      edits.upserts.push_back({u, v, 0.5 + edit_rng.Uniform()});
+    }
+    pattern_delta.graph_views.push_back(std::move(edits));
+    serve::GraphDelta value_delta;
+    serve::GraphViewDelta reweights;
+    reweights.view = 0;
+    const std::vector<graph::Edge>& view0 = mvag.graph_views()[0].edges();
+    for (size_t e = 0; e < 8; ++e) {
+      const graph::Edge& edge = view0[e * view0.size() / 8];
+      reweights.upserts.push_back({edge.u, edge.v, 1.5});
+    }
+    value_delta.graph_views.push_back(std::move(reweights));
+    for (const serve::GraphDelta* delta : {&pattern_delta, &value_delta}) {
+      auto updated = registry.UpdateGraph("bitdump", *delta);
+      if (!updated.ok()) {
+        std::fprintf(stderr, "update delta failed: %s\n",
+                     updated.status().ToString().c_str());
+        return 1;
+      }
+      const core::UnionPattern& pattern =
+          *(*updated)->aggregator->union_pattern();
+      uint64_t sell = HashVector(pattern.sell.slice_ptr);
+      sell = Fnv1a(pattern.sell.col_idx.data(),
+                   pattern.sell.col_idx.size() * sizeof(int32_t), sell);
+      sell = Fnv1a(pattern.sell.perm.data(),
+                   pattern.sell.perm.size() * sizeof(int64_t), sell);
+      std::printf("updated epoch=%" PRId64 " pattern=%016" PRIx64
+                  " sell=%016" PRIx64 "\n",
+                  (*updated)->epoch, HashCsr(pattern.csr), sell);
+    }
+    serve::SolveRequest request;
+    request.graph_id = "bitdump";
+    request.algorithm = serve::Algorithm::kSgla;
+    request.options.base.max_evaluations = 24;
+    auto response = engine.Solve(request);
+    if (!response.ok()) {
+      std::fprintf(stderr, "updated solve failed: %s\n",
+                   response.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("updated weights=%016" PRIx64 " history=%016" PRIx64
                 " laplacian=%016" PRIx64 " labels=%016" PRIx64 "\n",
                 HashVector(response->integration.weights),
                 HashVector(response->integration.objective_history),
