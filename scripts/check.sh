@@ -12,7 +12,8 @@ Flags (combinable, e.g. `--asan --bench-smoke`):
                  SGLA_THREADS=4 so kernels actually run threaded)
   --ubsan        UndefinedBehaviorSanitizer build in build-ubsan/
                  (findings abort: -fno-sanitize-recover=undefined)
-  --bench-smoke  skip ctest; run the Engine microbenches at a tiny time
+  --bench-smoke  skip ctest; run the Engine microbenches (and the pool
+                 dispatch bench) at a tiny time
                  budget, five randomly interleaved repetitions each, and
                  write BENCH_engine.json (per-kernel ns + allocs_per_iter;
                  the steady-state benches must report 0; perf_gate.py times
@@ -125,7 +126,7 @@ if [[ "${bench_smoke}" == "1" ]]; then
   # google-benchmark output; future PRs diff it.
   if [[ -x "${build_dir}/bench_micro_substrates" ]]; then
     "${build_dir}/bench_micro_substrates" \
-      --benchmark_filter='Engine|Isa|Coarsen' \
+      --benchmark_filter='Engine|Isa|Coarsen|ThreadPoolDispatch' \
       --benchmark_min_time=0.05 \
       --benchmark_repetitions=5 \
       --benchmark_enable_random_interleaving=true \

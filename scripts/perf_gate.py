@@ -5,7 +5,7 @@ Usage:
   perf_gate.py BASELINE.json CURRENT.json             # microbench mode
   perf_gate.py --latency BASELINE.json CURRENT.json   # RPC tail-latency mode
 
-Microbench mode — three checks:
+Microbench mode — four checks:
 
 1. **Zero-allocation contract (hard fail).** The steady-state engine benches
    (`BM_EngineObjectiveSteadyState`, `BM_EngineAggregateSteadyState`) must
@@ -18,7 +18,7 @@ Microbench mode — three checks:
    bench present in both files (TIMING_GATED prefixes — the async full-solve
    benches report microsecond main-thread submit/wait cpu_time while the
    work runs on pool threads, which is pure scheduler noise; they are printed
-   informationally, never gated), compute ratio = current_cpu_ns / baseline_cpu_ns, then
+   informationally, and gated on real_time by check 4), compute ratio = current_cpu_ns / baseline_cpu_ns, then
    divide by the **median ratio across the gated benches** — the median
    absorbs machine-speed differences between the baseline machine and the
    runner, so the gate flags benches that regressed *relative to the rest of
@@ -34,6 +34,16 @@ Microbench mode — three checks:
    normalized gate remains the sensitive check. Benches reporting
    cpu_time == 0 (timer granularity underflow at tiny budgets) are skipped
    with a warning instead of silently dropped.
+
+4. **Wall-time gate.** The full-solve benches (REALTIME_GATED:
+   `BM_EngineSolve*`) and the pool dispatch bench (`BM_ThreadPoolDispatch`)
+   are timed by `real_time`, because their work runs on session workers
+   and pool threads that the caller's cpu_time never sees. Their ratios are
+   normalized by their own median and held to the same FAIL_RATIO /
+   RAW_FAIL_RATIO as checks 2 and 3. This sits next to the cpu_time gate,
+   it does not replace it: a caller that spins while the pool finishes its
+   job counts that wait as cpu_time, so a cpu_time ratio that moves with a
+   pool change has to be explained, not loosened.
 
 Latency mode (--latency) — gates tools/loadgen.cc reports:
 
@@ -72,12 +82,19 @@ ALLOC_GATED = ("BM_EngineObjectiveSteadyState", "BM_EngineAggregateSteadyState")
 # Compute-bound benches whose cpu_time measures real work on the calling
 # thread. BM_EngineSolveCluster* and BM_EngineSolveFastTier are
 # deliberately absent: their solves run on session workers, so caller-thread
-# cpu_time is submit/wait overhead (scheduler noise on shared runners).
+# cpu_time is submit/wait overhead (scheduler noise on shared runners); they
+# are gated on real_time instead (REALTIME_GATED).
 TIMING_GATED = (
     "BM_EngineObjectiveSteadyState",
     "BM_EngineAggregateSteadyState",
     "BM_EngineUpdateGraphValueOnly",
     "BM_CoarsenGraph",
+)
+# Benches gated on real_time (check 4): whole solves and pool dispatch,
+# whose work runs off the calling thread.
+REALTIME_GATED = (
+    "BM_EngineSolve",
+    "BM_ThreadPoolDispatch",
 )
 
 
@@ -107,6 +124,66 @@ def load_benches(path):
     return timed, runs
 
 
+def timing_ratios(baseline, current, field, gated, warnings):
+    """Returns ({gated bench: current/baseline}, {other bench: ratio}) for
+    the benches present in both reports, timed by `field`."""
+    ratios = {}
+    informational = {}
+    for name, bench in current.items():
+        base = baseline.get(name)
+        if base is None:
+            continue
+        base_ns = base.get(field)
+        cur_ns = bench.get(field)
+        if base_ns is None or cur_ns is None:
+            continue
+        if base_ns <= 0 or cur_ns <= 0:
+            # Timer granularity underflow at tiny --benchmark_min_time
+            # budgets: a 0 here is a measurement artifact, but silently
+            # dropping the bench would shrink the gate without a trace.
+            warnings.append(
+                f"{name}: {field} is 0 in "
+                f"{'baseline' if base_ns <= 0 else 'current'}; skipped")
+            continue
+        if name.startswith(gated):
+            ratios[name] = cur_ns / base_ns
+        else:
+            informational[name] = cur_ns / base_ns
+    return ratios, informational
+
+
+def gate_ratios(field, ratios, failures, warnings):
+    """Normalizes `ratios` by their median and applies the normalized and
+    raw ceilings, appending to `failures` / `warnings`."""
+    if not ratios:
+        warnings.append(f"no {field}-gated benches shared between baseline "
+                        f"and current")
+        return
+    median = statistics.median(ratios.values())
+    print(f"{field}: median raw ratio (machine-speed factor): {median:.3f}")
+    for name, ratio in sorted(ratios.items()):
+        normalized = ratio / median
+        marker = " "
+        if normalized > FAIL_RATIO:
+            failures.append(f"{name}: {field} normalized ratio "
+                            f"{normalized:.2f} > {FAIL_RATIO}")
+            marker = "F"
+        elif ratio > RAW_FAIL_RATIO:
+            # The uniform-regression backstop: normalization can hide a
+            # fleet-wide slowdown, the raw ceiling cannot.
+            failures.append(
+                f"{name}: {field} raw ratio {ratio:.2f} > {RAW_FAIL_RATIO} "
+                f"(absolute ceiling; uniform regressions are invisible "
+                f"to the normalized gate)")
+            marker = "F"
+        elif normalized > WARN_RATIO:
+            warnings.append(f"{name}: {field} normalized ratio "
+                            f"{normalized:.2f} > {WARN_RATIO}")
+            marker = "W"
+        print(f"  [{marker}] {name}: {field} raw {ratio:.2f} "
+              f"normalized {normalized:.2f}")
+
+
 def microbench_gate(baseline_path, current_path):
     baseline, _ = load_benches(baseline_path)
     current, current_runs = load_benches(current_path)
@@ -128,58 +205,19 @@ def microbench_gate(baseline_path, current_path):
     if alloc_checked == 0:
         failures.append("no steady-state engine benches found in current run")
 
-    # 2 + 3. Machine-normalized ratios plus the absolute raw ceiling.
-    ratios = {}
-    informational = {}
-    for name, bench in current.items():
-        base = baseline.get(name)
-        if base is None:
-            continue
-        base_ns = base.get("cpu_time")
-        cur_ns = bench.get("cpu_time")
-        if base_ns is None or cur_ns is None:
-            continue
-        if base_ns <= 0 or cur_ns <= 0:
-            # Timer granularity underflow at tiny --benchmark_min_time
-            # budgets: a 0 here is a measurement artifact, but silently
-            # dropping the bench would shrink the gate without a trace.
-            warnings.append(
-                f"{name}: cpu_time is 0 in "
-                f"{'baseline' if base_ns <= 0 else 'current'}; skipped")
-            continue
-        if name.startswith(TIMING_GATED):
-            ratios[name] = cur_ns / base_ns
-        else:
-            informational[name] = cur_ns / base_ns
-    if ratios:
-        median = statistics.median(ratios.values())
-        print(f"median raw ratio (machine-speed factor): {median:.3f}")
-        for name, ratio in sorted(ratios.items()):
-            normalized = ratio / median
-            marker = " "
-            if normalized > FAIL_RATIO:
-                failures.append(
-                    f"{name}: normalized ratio {normalized:.2f} > {FAIL_RATIO}")
-                marker = "F"
-            elif ratio > RAW_FAIL_RATIO:
-                # The uniform-regression backstop: normalization can hide a
-                # fleet-wide slowdown, the raw ceiling cannot.
-                failures.append(
-                    f"{name}: raw ratio {ratio:.2f} > {RAW_FAIL_RATIO} "
-                    f"(absolute ceiling; uniform regressions are invisible "
-                    f"to the normalized gate)")
-                marker = "F"
-            elif normalized > WARN_RATIO:
-                warnings.append(
-                    f"{name}: normalized ratio {normalized:.2f} > {WARN_RATIO}")
-                marker = "W"
-            print(f"  [{marker}] {name}: raw {ratio:.2f} "
-                  f"normalized {normalized:.2f}")
-        for name, ratio in sorted(informational.items()):
-            print(f"  [i] {name}: raw {ratio:.2f} (not gated: async/submit "
-                  f"overhead timing)")
-    else:
-        warnings.append("no gated benches shared between baseline and current")
+    # 2 + 3. Machine-normalized cpu_time ratios plus the raw ceiling.
+    ratios, informational = timing_ratios(baseline, current, "cpu_time",
+                                          TIMING_GATED, warnings)
+    gate_ratios("cpu_time", ratios, failures, warnings)
+    # 4. The same on real_time for work that runs off the calling thread.
+    walled = {name: bench for name, bench in current.items()
+              if name.startswith(REALTIME_GATED)}
+    wall_ratios, _ = timing_ratios(baseline, walled, "real_time",
+                                   REALTIME_GATED, warnings)
+    gate_ratios("real_time", wall_ratios, failures, warnings)
+    for name, ratio in sorted(informational.items()):
+        print(f"  [i] {name}: raw {ratio:.2f} (not gated: async/submit "
+              f"overhead timing)")
 
     for warning in warnings:
         print(f"WARNING: {warning}")
@@ -188,7 +226,8 @@ def microbench_gate(baseline_path, current_path):
     if failures:
         sys.exit(1)
     print(f"OK: {alloc_checked} alloc-gated benches clean, "
-          f"{len(ratios)} timing ratios within {FAIL_RATIO}x of baseline")
+          f"{len(ratios)} cpu_time and {len(wall_ratios)} real_time ratios "
+          f"within {FAIL_RATIO}x of baseline")
 
 
 def load_latency(path):

@@ -159,11 +159,8 @@ std::shared_ptr<const UnionPattern> BuildUnionPattern(
 
 LaplacianAggregator::LaplacianAggregator(
     const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries,
-    std::shared_ptr<util::TaskQueue> queue,
     const LaplacianAggregator* previous)
-    : views_(views),
-      boundaries_(std::move(boundaries)),
-      queue_(std::move(queue)) {
+    : views_(views), boundaries_(std::move(boundaries)) {
   SGLA_CHECK(views != nullptr && !views->empty())
       << "LaplacianAggregator needs at least one view";
   const int64_t rows = (*views)[0].rows;
@@ -208,7 +205,6 @@ util::ShardContext LaplacianAggregator::context() const {
   util::ShardContext ctx;
   ctx.boundaries = boundaries_.data();
   ctx.num_shards = num_shards();
-  ctx.queue = queue_.get();
   return ctx;
 }
 

@@ -7,7 +7,6 @@
 
 #include "la/sparse.h"
 #include "util/sharding.h"
-#include "util/task_queue.h"
 
 namespace sgla {
 namespace core {
@@ -35,7 +34,7 @@ struct UnionPattern {
 /// The aggregator also owns the graph's row partition (DESIGN.md,
 /// "Sharding"): one shard by default, or K contiguous shards whose interior
 /// boundaries are multiples of util::kShardAlign. Value fills, SELL refreshes
-/// and the objective's SpMV then run one TaskQueue job per shard over that
+/// and the objective's SpMV then run one pool chunk per shard over that
 /// shard's rows of the one full pattern (see util::ShardContext). Every
 /// kernel involved writes each row independently, so the bits do not depend
 /// on the shard count or the thread count.
@@ -52,9 +51,7 @@ class LaplacianAggregator {
   /// `boundaries` holds num_shards + 1 ascending row offsets —
   /// boundaries[0] == 0, boundaries.back() == rows, every interior boundary
   /// a multiple of util::kShardAlign (serve::MakeShardPlan produces
-  /// conforming plans); empty means one shard. `queue` runs the jobs of a
-  /// multi-shard partition; null runs them serially on the caller, same
-  /// bits.
+  /// conforming plans); empty means one shard.
   ///
   /// `previous` (optional, same view count and shape; checked) is an
   /// aggregator over an earlier version of the same views — the previous
@@ -68,7 +65,6 @@ class LaplacianAggregator {
   explicit LaplacianAggregator(
       const std::vector<la::CsrMatrix>* views,
       std::vector<int64_t> boundaries = {},
-      std::shared_ptr<util::TaskQueue> queue = nullptr,
       const LaplacianAggregator* previous = nullptr);
 
   int num_views() const { return static_cast<int>(views_->size()); }
@@ -92,7 +88,7 @@ class LaplacianAggregator {
 
   int num_shards() const { return static_cast<int>(boundaries_.size()) - 1; }
   const std::vector<int64_t>& boundaries() const { return boundaries_; }
-  /// The row partition + queue, for kernels outside the aggregator that
+  /// The row partition, for kernels outside the aggregator that
   /// reuse the same shards (the objective's SpMV, clustering on the final
   /// Laplacian). Valid while the aggregator lives.
   util::ShardContext context() const;
@@ -133,7 +129,6 @@ class LaplacianAggregator {
   std::vector<int64_t> changed_rows_;        ///< vs `previous`, ascending
   la::CsrMatrix aggregate_;                  ///< Aggregate()'s output
   std::vector<int64_t> boundaries_;          ///< row partition
-  std::shared_ptr<util::TaskQueue> queue_;   ///< shard jobs (K > 1)
 };
 
 }  // namespace core

@@ -210,9 +210,10 @@ Graph KnnGraph(const la::DenseMatrix& points, const KnnOptions& options) {
     // Cross-tree merge: node i is offered its candidates in (tree, heap
     // slot) order, a fixed sequence, so the shared heap's dedup/eviction
     // decisions are reproducible. It and the symmetrization below stay on
-    // the calling thread: the pool runs one job at a time, and further pool
-    // jobs right after the trees' would hold off a concurrent solve's
-    // kernels for longer than the few milliseconds they save.
+    // the calling thread. A row-parallel form has the same bits and ran
+    // faster alone, but when the pool ran one job at a time it cost the
+    // concurrent re-solves of update_stream 10.7%; on the multi-job pool it
+    // is not measured yet.
     //
     // Different trees re-offer the same pair, and duplicates would crowd
     // out genuine neighbors, so node i takes each neighbor only at its

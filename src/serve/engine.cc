@@ -261,7 +261,7 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
 
   // Every hot kernel of the exact tier (aggregation, Lanczos mat-vecs,
   // k-means assignment) runs over the entry aggregator's row partition: one
-  // TaskQueue job per shard, or pool-parallel on one shard — same bits. The
+  // pool chunk per shard, or pool-parallel on one shard — same bits. The
   // fast tier runs on the one-shard coarse companion in the coarse-sized
   // workspace, so tiered and exact solves on one session don't evict each
   // other's bound patterns.

@@ -180,11 +180,9 @@ class Engine {
 
   /// Registers a graph on the underlying registry. `options.shards` is the
   /// row-shard knob: 1 (default) runs each solve's kernels chunked through
-  /// the global ThreadPool; K > 1 runs them one job per shard through the
-  /// registry's shard queue — the same code path and bit-identical
-  /// responses (asserted in tests), but one large solve no longer
-  /// monopolizes the kernel pool, so many big graphs can be served
-  /// concurrently.
+  /// the global ThreadPool; K > 1 runs each kernel as one pool job with
+  /// one chunk per shard — the same code path and bit-identical responses
+  /// (asserted in tests).
   Result<std::shared_ptr<const GraphEntry>> RegisterGraph(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options = {});

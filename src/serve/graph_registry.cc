@@ -110,11 +110,12 @@ Result<la::CsrMatrix> ContractOneView(const GraphEntry& entry,
 
 // The graph-view Laplacians of an update epoch build inline on the writing
 // thread (ThreadPool::InlineScope: same chunks, same bits), not on the
-// kernel pool. The pool runs one job at a time, so each parallel pass of a
-// write would stall the kernels of every solve running beside it: on
-// update_stream, pool-parallel builds here made the concurrent re-solves
-// 35-145% slower. An attribute view's KNN keeps the pool, as before
-// (inline, it doubled an attribute write). Registration and
+// kernel pool. When the pool still ran one job at a time, pool-parallel
+// builds here made the concurrent re-solves on update_stream 35-145%
+// slower. The pool now runs jobs side by side, but a faster writer also
+// packs more writes into each re-solve there, so whether the pool pays
+// again is not measured yet. An attribute view's KNN keeps the pool, as
+// before (inline, it doubled an attribute write). Registration and
 // recovery, which no solve of the graph overlaps, build on the pool.
 Result<la::CsrMatrix> EpochViewLaplacian(const core::MultiViewGraph& mvag,
                                          size_t view,
@@ -248,26 +249,6 @@ void AdvanceViewIdentity(const DeltaEffects& effects,
   *active = effects.active;
 }
 
-std::unique_ptr<core::LaplacianAggregator> GraphRegistry::MakeAggregator(
-    const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries,
-    const core::LaplacianAggregator* previous) {
-  std::shared_ptr<util::TaskQueue> queue;
-  if (boundaries.size() > 2) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (shard_queue_ == nullptr) {
-      // Same sizing rule as the kernel pool (SGLA_THREADS override
-      // included), so sanitizer gates that pin the pool width pin the shard
-      // width too.
-      shard_queue_.reset(
-          new util::TaskQueue(util::ThreadPool::DefaultThreads()));
-    }
-    queue = shard_queue_;
-  }
-  return std::unique_ptr<core::LaplacianAggregator>(
-      new core::LaplacianAggregator(views, std::move(boundaries),
-                                    std::move(queue), previous));
-}
-
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
     std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
     std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
@@ -286,7 +267,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
   if (source != nullptr) source->next_view_uid = state.next_view_uid;
   const std::vector<la::CsrMatrix>* serving =
       entry->active_views.empty() ? &entry->views : &entry->active_views;
-  entry->aggregator = MakeAggregator(
+  entry->aggregator = std::make_unique<core::LaplacianAggregator>(
       serving, entry->num_nodes > 0
                    ? MakeShardPlan(entry->num_nodes, options.shards).boundaries
                    : std::vector<int64_t>());
@@ -499,8 +480,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     // Same node count, same shard option: the carried partition is exactly
     // what MakeShardPlan would rebuild, so fresh-registration bit-identity
     // holds.
-    entry->aggregator =
-        MakeAggregator(serving, old->aggregator->boundaries());
+    entry->aggregator = std::make_unique<core::LaplacianAggregator>(
+        serving, old->aggregator->boundaries());
     entry->attributes = PinAttributes(*entry, source->mvag);
     DeferCoarse(entry.get(), source->knn);
 
@@ -539,7 +520,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   // shares the previous pattern object under the *same* pattern_id, so
   // session workspaces bound to the previous epoch re-scatter values
   // without rebinding; otherwise only the changed rows re-merge.
-  entry->aggregator = MakeAggregator(
+  entry->aggregator = std::make_unique<core::LaplacianAggregator>(
       &entry->views, old->aggregator->boundaries(), old->aggregator.get());
   // The fine rows whose *structural* slots changed in some view, and their
   // count (churn). The coarse plan is a pure function of structure, so
@@ -600,7 +581,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
         const bool same_rows =
             companion->plan.coarse_rows == old_coarse->plan.coarse_rows;
         companion->aggregator.reset(new core::LaplacianAggregator(
-            &companion->views, {}, nullptr,
+            &companion->views, {},
             same_rows ? old_coarse->aggregator.get() : nullptr));
       }
     }

@@ -20,7 +20,6 @@
 #include "serve/graph_delta.h"
 #include "serve/shard_plan.h"
 #include "util/status.h"
-#include "util/task_queue.h"
 
 namespace sgla {
 namespace serve {
@@ -30,10 +29,10 @@ struct RegisterOptions {
   graph::KnnOptions knn;  ///< attribute-view KNN construction
   /// Row shards to partition the graph into. 1 (default) runs every hot
   /// kernel of its solves chunked through the global ThreadPool; K > 1
-  /// row-partitions them into K contiguous shards that run as independent
-  /// TaskQueue jobs over the one union pattern — bit-identical output, but
-  /// no single large solve monopolizes the kernel pool. Clamped to the
-  /// chunk count, so small graphs quietly stay at one shard.
+  /// row-partitions them into K contiguous shards, each one chunk of a pool
+  /// job over the one union pattern, with the kernels inside a shard
+  /// running inline — bit-identical output. Clamped to the chunk count, so
+  /// small graphs quietly stay at one shard.
   int shards = 1;
   /// Keep a working copy of the MultiViewGraph so UpdateGraph can apply
   /// deltas (default). Costs roughly the registration-time graph footprint
@@ -359,23 +358,12 @@ class GraphRegistry {
       std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
       RestoreState state);
 
-  /// The serving aggregator over `views`, partitioned at `boundaries`,
-  /// patched from `previous` when given (see core::LaplacianAggregator).
-  /// Multi-shard partitions run their jobs on the registry's shard queue,
-  /// created lazily at the first sharded registration and shared by every
-  /// sharded entry (aggregators hold the shared_ptr, so snapshots outliving
-  /// the registry keep a live queue).
-  std::unique_ptr<core::LaplacianAggregator> MakeAggregator(
-      const std::vector<la::CsrMatrix>* views, std::vector<int64_t> boundaries,
-      const core::LaplacianAggregator* previous = nullptr);
-
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const GraphEntry>> graphs_;
   /// Update sources, same keys as graphs_ (absent for RegisterViews
   /// entries); under mutex_. Values are shared so UpdateGraph can work on a
   /// source after dropping the map lock.
   std::unordered_map<std::string, std::shared_ptr<GraphSource>> sources_;
-  std::shared_ptr<util::TaskQueue> shard_queue_;  ///< under mutex_
 };
 
 }  // namespace serve

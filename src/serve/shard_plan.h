@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/sharding.h"
-#include "util/task_queue.h"
 
 namespace sgla {
 namespace serve {
@@ -16,8 +15,8 @@ namespace serve {
 /// rows (the last one ragged), and shard s takes chunks
 /// [floor(C*s/K), floor(C*(s+1)/K)) — so every boundary except the last is
 /// a multiple of `grain`, every kernel chunk lies entirely inside one shard,
-/// and the partition depends only on (n, K, grain): never on thread counts,
-/// queue sizes, or scheduling. This is what keeps sharded execution
+/// and the partition depends only on (n, K, grain): never on thread counts
+/// or scheduling. This is what keeps sharded execution
 /// bit-identical to the unsharded path (see DESIGN.md, "Sharding").
 struct ShardPlan {
   int64_t rows = 0;
@@ -36,11 +35,10 @@ struct ShardPlan {
 
   /// Non-owning execution view over this plan (see util::ShardContext); the
   /// plan must outlive it.
-  util::ShardContext Context(util::TaskQueue* queue) const {
+  util::ShardContext Context() const {
     util::ShardContext ctx;
     ctx.boundaries = boundaries.data();
     ctx.num_shards = num_shards();
-    ctx.queue = queue;
     return ctx;
   }
 };

@@ -16,9 +16,9 @@ namespace util {
 /// caller blocking a thread of its own through a whole solve. Tasks receive
 /// the id of the worker running them (0 .. num_workers-1) so callers can
 /// maintain one reusable workspace per worker (serve::Engine does exactly
-/// this). Tasks themselves are free to launch ThreadPool kernels — the pool
-/// serializes kernel launches across workers, so any interleaving of tasks
-/// yields the same bits per task.
+/// this). Tasks themselves are free to launch ThreadPool kernels — the
+/// pool's chunk partitions do not depend on what else runs, so any
+/// interleaving of tasks yields the same bits per task.
 ///
 /// Ordering: tasks start in FIFO order, but with more than one worker they
 /// overlap and may finish out of order. The destructor drains the queue
@@ -52,17 +52,6 @@ class TaskQueue {
   /// accepted-work counter for the actual bound and use this only for
   /// introspection.
   size_t pending() const;
-
-  /// Runs fn(0) .. fn(count - 1) across the queue workers, with the caller
-  /// claiming jobs alongside them, and returns once all `count` jobs have
-  /// finished. Jobs are claimed in ascending index order from a shared
-  /// counter, so concurrent RunBatch calls (e.g. several solves sharding
-  /// through one queue) interleave their jobs fairly instead of one batch
-  /// monopolizing the workers. The caller's participation guarantees
-  /// progress even when every worker is busy with other batches, so nested
-  /// RunBatch calls cannot deadlock. `fn` may run on any worker thread
-  /// concurrently with itself at distinct indices.
-  void RunBatch(int64_t count, const std::function<void(int64_t job)>& fn);
 
   /// Blocks until the queue is empty and every worker is idle.
   void Drain();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
 
@@ -14,21 +15,44 @@ thread_local bool tls_in_parallel = false;
 std::mutex g_global_mutex;
 ThreadPool* g_global_pool = nullptr;  // leaked: outlives static destructors
 
+// How long an idle worker, or a caller waiting for the chunks workers
+// claimed, spins before it parks on a condition variable. The eigensolvers
+// issue a job every few microseconds, each of a few microseconds of work;
+// parking after every job made the futex wake-up cost more than the job.
+// A wall-clock window rather than an iteration count, because the cost of
+// one spin iteration differs by CPU and kernel.
+constexpr std::chrono::microseconds kSpinWindow{50};
+
+// The low half of a slot's claim word counts the chunks still to claim.
+constexpr uint64_t kRemainingMask = 0xffffffffull;
+constexpr int64_t kMaxPooledChunks = static_cast<int64_t>(kRemainingMask);
+
+// Spins until done() holds or kSpinWindow has passed; returns done(). Each
+// iteration yields, so on an oversubscribed machine a spinning thread hands
+// its core to a runnable one, such as a writer beside a solve.
+template <typename Done>
+bool SpinFor(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  do {
+    if (done()) return true;
+    std::this_thread::yield();
+  } while (std::chrono::steady_clock::now() < deadline);
+  return done();
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int i = 1; i < num_threads_; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
+  shutdown_.store(true);
+  { std::lock_guard<std::mutex> lock(mutex_); }
   wake_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
@@ -39,29 +63,106 @@ int64_t ThreadPool::NumChunks(int64_t begin, int64_t end, int64_t grain) {
   return (end - begin + g - 1) / g;
 }
 
-void ThreadPool::RunChunk(int64_t chunk) {
-  const int64_t lo = job_begin_ + chunk * job_grain_;
-  const int64_t hi = std::min(job_end_, lo + job_grain_);
-  job_fn_(job_ctx_, chunk, lo, hi);
+int ThreadPool::AcquireSlot() {
+  constexpr uint32_t kAll = (1u << kSlots) - 1;
+  uint32_t mask = occupied_.load(std::memory_order_relaxed);
+  for (;;) {
+    const uint32_t free = ~mask & kAll;
+    if (free == 0) return -1;
+    const int s = __builtin_ctz(free);
+    // Acquire: the previous owner's last writes to the slot happen before
+    // this owner's first.
+    if (occupied_.compare_exchange_weak(mask, mask | (1u << s),
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      return s;
+    }
+  }
 }
 
-// Claims and runs chunks of the current job until none remain or the epoch
-// moves on (a stale worker waking after its job finished must not touch the
-// next job's counter). Chunks are coarse by design, so claiming under the
-// mutex costs nothing measurable and keeps the protocol race-free.
-void ThreadPool::DrainJob(uint64_t my_epoch) {
-  const bool was_inside = tls_in_parallel;
-  tls_in_parallel = true;
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (epoch_ == my_epoch && job_next_chunk_ < job_chunks_) {
-    const int64_t c = job_next_chunk_++;
-    lock.unlock();
-    RunChunk(c);
-    lock.lock();
-    if (++job_completed_ == job_chunks_) done_cv_.notify_all();
+// A claim is a compare-and-swap on the whole word, generation included, so
+// it succeeds only against a word this thread has read: the publish store
+// of the job or a later claim of the same job. The job fields are read only
+// after it succeeded, and the slot cannot be reused before this chunk is
+// counted done, so they are the fields of the job whose chunk was claimed.
+bool ThreadPool::TryClaim(Slot* slot, int64_t* chunk) {
+  uint64_t word = slot->claim.load(std::memory_order_acquire);
+  while ((word & kRemainingMask) != 0) {
+    if (slot->claim.compare_exchange_weak(word, word - 1,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      *chunk = slot->chunks - static_cast<int64_t>(word & kRemainingMask);
+      return true;
+    }
   }
-  lock.unlock();
-  tls_in_parallel = was_inside;
+  return false;
+}
+
+void ThreadPool::RunClaimed(Slot* slot, int64_t chunk) {
+  const int64_t chunks = slot->chunks;
+  // After a throw the job drains without running its remaining chunks.
+  if (!slot->failed.load(std::memory_order_relaxed)) {
+    const int64_t lo = slot->begin + chunk * slot->grain;
+    const int64_t hi = std::min(slot->end, lo + slot->grain);
+    try {
+      slot->fn(slot->ctx, chunk, lo, hi);
+    } catch (...) {
+      if (!slot->failed.exchange(true)) {
+        slot->error = std::current_exception();
+      }
+    }
+  }
+  // Sequentially consistent with AwaitDone's store of caller_parked: either
+  // the caller sees the last chunk done, or this thread sees it parked.
+  if (slot->done.fetch_add(1) + 1 == chunks && slot->caller_parked.load()) {
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    done_cv_.notify_all();
+  }
+}
+
+bool ThreadPool::RunAnyChunks(int worker) {
+  bool ran = false;
+  const uint32_t mask = occupied_.load(std::memory_order_acquire);
+  if (mask == 0) return false;
+  // Workers start their scan at different slots, so concurrent jobs each
+  // get some of them.
+  for (int i = 0; i < kSlots; ++i) {
+    const int s = (worker + i) % kSlots;
+    if ((mask & (1u << s)) == 0) continue;
+    int64_t chunk = 0;
+    while (TryClaim(&slots_[s], &chunk)) {
+      RunClaimed(&slots_[s], chunk);
+      ran = true;
+    }
+  }
+  return ran;
+}
+
+void ThreadPool::AwaitDone(Slot* slot) {
+  const int64_t chunks = slot->chunks;
+  const auto finished = [slot, chunks] {
+    return slot->done.load(std::memory_order_acquire) == chunks;
+  };
+  if (SpinFor(finished)) return;
+  slot->caller_parked.store(true);
+  if (slot->done.load() != chunks) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, finished);
+  }
+  slot->caller_parked.store(false, std::memory_order_relaxed);
+}
+
+void ThreadPool::AwaitPublish(uint64_t seen) {
+  const auto moved = [this, seen] {
+    return published_.load() != seen || shutdown_.load();
+  };
+  if (SpinFor(moved)) return;
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Sequentially consistent with RunChunked's publish: either the publisher
+  // sees this worker parked, or the predicate sees the publish.
+  parked_workers_.fetch_add(1);
+  wake_cv_.wait(lock, moved);
+  parked_workers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ThreadPool::RunChunked(int64_t begin, int64_t end, int64_t grain,
@@ -69,53 +170,63 @@ void ThreadPool::RunChunked(int64_t begin, int64_t end, int64_t grain,
   const int64_t g = std::max<int64_t>(1, grain);
   const int64_t chunks = NumChunks(begin, end, g);
   if (chunks == 0) return;
-  if (chunks == 1 || num_threads_ == 1 || tls_in_parallel) {
+  const int s = chunks == 1 || num_threads_ == 1 || tls_in_parallel ||
+                        chunks > kMaxPooledChunks
+                    ? -1
+                    : AcquireSlot();
+  if (s < 0) {
     // Serial fallback: same partition, ascending chunk order, so reductions
-    // merged by chunk index get the same bits as any parallel schedule.
-    // tls_in_parallel is deliberately NOT set here: only DrainJob marks real
-    // worker-chunk execution. A top-level caller running inline holds no
-    // pool state, so kernels nested under it (e.g. beneath a one-chunk
-    // job) stay free to parallelize.
+    // merged by chunk index get the same bits as any parallel schedule. It
+    // also serves a caller that finds every slot taken. tls_in_parallel is
+    // deliberately NOT set here: only pool jobs mark chunk execution. A
+    // top-level caller running inline holds no pool state, so kernels
+    // nested under it (e.g. beneath a one-chunk job) stay free to
+    // parallelize.
     for (int64_t c = 0; c < chunks; ++c) {
       fn(ctx, c, begin + c * g, std::min(end, begin + (c + 1) * g));
     }
     return;
   }
 
-  std::lock_guard<std::mutex> submit_lock(submit_mutex_);
-  uint64_t my_epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_fn_ = fn;
-    job_ctx_ = ctx;
-    job_begin_ = begin;
-    job_end_ = end;
-    job_grain_ = g;
-    job_chunks_ = chunks;
-    job_completed_ = 0;
-    job_next_chunk_ = 0;
-    my_epoch = ++epoch_;
+  Slot* slot = &slots_[s];
+  slot->fn = fn;
+  slot->ctx = ctx;
+  slot->begin = begin;
+  slot->end = end;
+  slot->grain = g;
+  slot->chunks = chunks;
+  slot->done.store(0, std::memory_order_relaxed);
+  slot->failed.store(false, std::memory_order_relaxed);
+  const uint64_t generation = ++slot->generation;
+  slot->claim.store((generation << 32) | static_cast<uint64_t>(chunks),
+                    std::memory_order_release);
+  published_.fetch_add(1);
+  if (parked_workers_.load() > 0) {
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    wake_cv_.notify_all();
   }
-  wake_cv_.notify_all();
 
-  DrainJob(my_epoch);  // the caller works alongside the pool
+  {
+    InlineScope in_job;  // the caller drains its own job first
+    int64_t chunk = 0;
+    while (TryClaim(slot, &chunk)) RunClaimed(slot, chunk);
+  }
+  AwaitDone(slot);
 
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return job_completed_ == job_chunks_; });
-  job_fn_ = nullptr;
-  job_ctx_ = nullptr;
+  // No thread touches the job any more: take its error and free the slot.
+  std::exception_ptr error = std::move(slot->error);
+  slot->error = nullptr;
+  occupied_.fetch_and(~(1u << s), std::memory_order_release);
+  if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::WorkerLoop() {
-  uint64_t seen_epoch = 0;
+void ThreadPool::WorkerLoop(int worker) {
+  tls_in_parallel = true;  // a worker only ever runs chunks
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_cv_.wait(lock, [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-    }
-    DrainJob(seen_epoch);
+    const uint64_t seen = published_.load();
+    if (RunAnyChunks(worker)) continue;
+    if (shutdown_.load()) return;
+    AwaitPublish(seen);
   }
 }
 

@@ -1,8 +1,10 @@
 #ifndef SGLA_UTIL_THREAD_POOL_H_
 #define SGLA_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -22,9 +24,18 @@ namespace util {
 /// Kernels whose chunks write disjoint outputs (SpMV rows, aggregate slots)
 /// are bit-identical to the serial loop by construction.
 ///
-/// The calling thread participates in every job. Nested ParallelFor calls
-/// (a kernel invoked from inside a worker) run inline on the caller, in
-/// chunk order — same partition, same bits, no deadlock.
+/// Several jobs run side by side: each job takes one of kSlots slots, and
+/// workers claim chunks across every active slot through one atomic word
+/// per slot. The calling thread drains its own job, then waits for the
+/// chunks workers claimed. A caller that finds every slot taken runs its
+/// job inline, in chunk order. Nested ParallelFor calls (a kernel invoked
+/// from inside a chunk) run inline on the caller, in chunk order — same
+/// partition, same bits, no deadlock. See DESIGN.md, "Threading model".
+///
+/// A chunk that throws does not take the process down: the first exception
+/// is kept, the job's remaining chunks are claimed without running, and
+/// ParallelFor rethrows it on the caller once no thread touches the job any
+/// more. The pool stays usable.
 ///
 /// Dispatch is allocation-free: callables are published to the workers as a
 /// raw trampoline + context pointer (the caller's stack frame outlives the
@@ -35,6 +46,10 @@ class ThreadPool {
  public:
   /// Trampoline signature jobs are published with: (ctx, chunk, lo, hi).
   using RawChunkFn = void (*)(void*, int64_t, int64_t, int64_t);
+
+  /// Jobs in flight at once; a caller that finds all of them taken runs its
+  /// job inline.
+  static constexpr int kSlots = 8;
 
   /// `num_threads` <= 1 means fully serial (no workers are spawned).
   explicit ThreadPool(int num_threads);
@@ -107,33 +122,63 @@ class ThreadPool {
   static void SetGlobalThreads(int num_threads);
 
  private:
-  /// Monomorphic core of ParallelFor(Chunks): publishes (fn, ctx) to the
-  /// workers, drains alongside them, and blocks until every chunk finished.
+  /// One job in flight. The caller writes the job fields, then publishes
+  /// them by storing `claim`; a worker reads them only after a claim on
+  /// that word succeeded, so it never acts on a job it did not see
+  /// published.
+  struct alignas(64) Slot {
+    /// (generation << 32) | chunks not yet claimed. A claim decrements the
+    /// low half by compare-and-swap, so it fails once the slot carries a
+    /// later job. Each publish bumps the slot's generation.
+    std::atomic<uint64_t> claim{0};
+    std::atomic<int64_t> done{0};  ///< chunks finished
+    /// The caller is (about to be) parked on done_cv_ for this job.
+    std::atomic<bool> caller_parked{false};
+    std::atomic<bool> failed{false};  ///< some chunk threw
+    uint32_t generation = 0;          ///< owner-only
+    RawChunkFn fn = nullptr;
+    void* ctx = nullptr;
+    int64_t begin = 0;
+    int64_t end = 0;
+    int64_t grain = 1;
+    int64_t chunks = 0;
+    std::exception_ptr error;  ///< the first exception a chunk threw
+  };
+
+  /// Monomorphic core of ParallelFor(Chunks): publishes (fn, ctx) in a free
+  /// slot, drains it alongside the workers, and blocks until every chunk
+  /// finished; rethrows the first exception a chunk threw.
   void RunChunked(int64_t begin, int64_t end, int64_t grain, RawChunkFn fn,
                   void* ctx);
-  void WorkerLoop();
-  void RunChunk(int64_t chunk);
-  void DrainJob(uint64_t my_epoch);
+  void WorkerLoop(int worker);
+  /// Takes a free slot for the caller's job; -1 when every slot is taken.
+  int AcquireSlot();
+  /// Claims one chunk of `slot`'s current job; false once none is left.
+  static bool TryClaim(Slot* slot, int64_t* chunk);
+  /// Runs a claimed chunk and counts it done, waking a parked caller after
+  /// the last one.
+  void RunClaimed(Slot* slot, int64_t chunk);
+  /// Claims and runs chunks of any active job; false if none was claimable.
+  bool RunAnyChunks(int worker);
+  /// Spins for kSpinWindow, then parks until `slot`'s job has finished.
+  void AwaitDone(Slot* slot);
+  /// Spins for kSpinWindow, then parks until a job is published after
+  /// `seen` or the pool shuts down.
+  void AwaitPublish(uint64_t seen);
 
   const int num_threads_;
-  std::vector<std::thread> workers_;
 
-  std::mutex submit_mutex_;  ///< serializes whole jobs across callers
+  Slot slots_[kSlots];
+  std::atomic<uint32_t> occupied_{0};  ///< bit s: slot s holds a job
+  std::atomic<uint64_t> published_{0};  ///< bumped after every publish
+  std::atomic<int> parked_workers_{0};
+  std::atomic<bool> shutdown_{false};
 
-  std::mutex mutex_;  ///< guards the job fields and both condition variables
-  std::condition_variable wake_cv_;
-  std::condition_variable done_cv_;
-  bool shutdown_ = false;
-  uint64_t epoch_ = 0;  ///< bumped when a job is published
+  std::mutex mutex_;  ///< for the two condition variables only
+  std::condition_variable wake_cv_;  ///< parked workers
+  std::condition_variable done_cv_;  ///< parked callers
 
-  RawChunkFn job_fn_ = nullptr;
-  void* job_ctx_ = nullptr;
-  int64_t job_begin_ = 0;
-  int64_t job_grain_ = 1;
-  int64_t job_end_ = 0;
-  int64_t job_chunks_ = 0;
-  int64_t job_completed_ = 0;   ///< chunks finished (under mutex_)
-  int64_t job_next_chunk_ = 0;  ///< next chunk to claim (under mutex_)
+  std::vector<std::thread> workers_;  ///< last: they use everything above
 };
 
 }  // namespace util

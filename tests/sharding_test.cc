@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "serve/shard_plan.h"
 #include "util/rng.h"
 #include "util/sharding.h"
-#include "util/task_queue.h"
 #include "util/thread_pool.h"
 
 namespace sgla {
@@ -115,7 +113,7 @@ void ExpectEigenpairsEq(const la::Eigenpairs& got, const la::Eigenpairs& want,
 
 /// The one SpMV operator, sharded and unsharded: for every available ISA at
 /// 1 and 4 pool threads, a CSR operator over a 1-, 3- or 4-shard partition
-/// (shards run serially on the caller, or as TaskQueue jobs) yields the
+/// (shards run as the chunks of one pool job, or inline at 1) yields the
 /// eigenpairs of the plain CSR solve bit for bit, and a sharded SELL
 /// operator those of the unsharded SELL operator. Under scalar, SELL equals
 /// CSR too. The solve's bits do not depend on the thread count either.
@@ -125,7 +123,6 @@ TEST(LanczosTest, OperatorFormsBitIdenticalAcrossShards) {
   la::SellMatrix sell;
   la::BuildSellPattern(m, &sell);
   const int k = 5;
-  auto queue = std::make_shared<util::TaskQueue>(4);
 
   const auto solve = [k](const la::SpmvOperator& op, la::Eigenpairs* out) {
     la::LanczosWorkspace ws;
@@ -161,17 +158,13 @@ TEST(LanczosTest, OperatorFormsBitIdenticalAcrossShards) {
       for (int shards : {1, 3, 4}) {
         const serve::ShardPlan plan = serve::MakeShardPlan(m.rows, shards);
         ASSERT_EQ(plan.num_shards(), shards);
-        for (util::TaskQueue* q : {static_cast<util::TaskQueue*>(nullptr),
-                                   queue.get()}) {
-          const util::ShardContext ctx = plan.Context(q);
-          const std::string where = at + " shards=" + std::to_string(shards) +
-                                    (q == nullptr ? " serial" : " queue");
-          la::Eigenpairs got;
-          solve(la::CsrSpmvOperator(m, &ctx), &got);
-          ExpectEigenpairsEq(got, csr_ref, where + " csr");
-          solve(la::SellSpmvOperator(sell, &ctx), &got);
-          ExpectEigenpairsEq(got, sell_ref, where + " sell");
-        }
+        const util::ShardContext ctx = plan.Context();
+        const std::string where = at + " shards=" + std::to_string(shards);
+        la::Eigenpairs got;
+        solve(la::CsrSpmvOperator(m, &ctx), &got);
+        ExpectEigenpairsEq(got, csr_ref, where + " csr");
+        solve(la::SellSpmvOperator(sell, &ctx), &got);
+        ExpectEigenpairsEq(got, sell_ref, where + " sell");
       }
     }
   }
@@ -202,11 +195,10 @@ TEST(ShardingTest, MultiShardAggregatorBitIdenticalToOneShard) {
   la::Vector expect(static_cast<size_t>(reference.rows));
   la::Spmv(reference, x.data(), expect.data());
 
-  auto queue = std::make_shared<util::TaskQueue>(4);
   for (int shards : {2, 5}) {
     serve::ShardPlan plan = serve::MakeShardPlan(2570, shards);
     ASSERT_EQ(plan.num_shards(), shards);
-    core::LaplacianAggregator sharded(&views, plan.boundaries, queue);
+    core::LaplacianAggregator sharded(&views, plan.boundaries);
     EXPECT_EQ(sharded.num_shards(), shards);
     EXPECT_EQ(sharded.pattern().col_idx, reference.col_idx);
 
@@ -242,9 +234,8 @@ TEST(ShardingTest, ObjectiveEvaluationBitIdentical) {
   core::SpectralObjective reference(&plain, 4, core::ObjectiveOptions(),
                                     &plain_ws);
 
-  auto queue = std::make_shared<util::TaskQueue>(4);
   serve::ShardPlan plan = serve::MakeShardPlan(1400, 2);
-  core::LaplacianAggregator aggregator(&views, plan.boundaries, queue);
+  core::LaplacianAggregator aggregator(&views, plan.boundaries);
   core::EvalWorkspace ws;
   core::SpectralObjective sharded(&aggregator, 4, core::ObjectiveOptions(),
                                   &ws);
@@ -275,11 +266,10 @@ TEST(ShardingTest, KMeansShardedBitIdentical) {
   cluster::KMeansResult reference;
   cluster::KMeansInto(points, 4, options, &plain_ws, &reference);
 
-  auto queue = std::make_shared<util::TaskQueue>(4);
   ThreadCountGuard guard;
   for (int shards : {2, 3}) {
     serve::ShardPlan plan = serve::MakeShardPlan(points.rows(), shards);
-    util::ShardContext ctx = plan.Context(queue.get());
+    util::ShardContext ctx = plan.Context();
     for (int threads : {1, 4}) {
       util::ThreadPool::SetGlobalThreads(threads);
       cluster::KMeansWorkspace ws;
@@ -299,12 +289,11 @@ TEST(ShardingTest, SglaSolveBitIdenticalAcrossShardAndThreadCounts) {
   auto reference = core::Sgla(views, 3, options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  auto queue = std::make_shared<util::TaskQueue>(4);
   ThreadCountGuard guard;
   for (int shards : {2, 3}) {
     serve::ShardPlan plan = serve::MakeShardPlan(1100, shards);
     ASSERT_EQ(plan.num_shards(), shards);
-    core::LaplacianAggregator aggregator(&views, plan.boundaries, queue);
+    core::LaplacianAggregator aggregator(&views, plan.boundaries);
     for (int threads : {1, 4}) {
       util::ThreadPool::SetGlobalThreads(threads);
       core::EvalWorkspace workspace;
@@ -331,7 +320,6 @@ TEST(ShardingTest, SglaSolveBitIdenticalAcrossShardAndThreadCounts) {
 
 TEST(ShardingTest, SglaPlusBitIdenticalRaggedAndSampled) {
   const auto views = MakeViews(2570, 4, 61);  // 2570 % 5 != 0 and != c * 512
-  auto queue = std::make_shared<util::TaskQueue>(4);
 
   // Full-size evaluations (no node sampling kicks in below 4096 nodes).
   core::SglaPlusOptions options;
@@ -345,7 +333,7 @@ TEST(ShardingTest, SglaPlusBitIdenticalRaggedAndSampled) {
   ASSERT_TRUE(sampled_reference.ok());
 
   serve::ShardPlan plan = serve::MakeShardPlan(2570, 5);
-  core::LaplacianAggregator aggregator(&views, plan.boundaries, queue);
+  core::LaplacianAggregator aggregator(&views, plan.boundaries);
   ThreadCountGuard guard;
   for (int threads : {1, 4}) {
     util::ThreadPool::SetGlobalThreads(threads);
@@ -496,8 +484,7 @@ TEST(ShardingTest, SampledSglaPlusThenExactSglaShareOneSession) {
 // 1-4 SBM views, K in 1..5 shards, k in 2..5 clusters, a thread count, and
 // SGLA+ node sampling on or off. Every stage of the solve is compared bit
 // for bit against a one-shard aggregator on the same views.
-void RunShardOracleCase(uint64_t seed,
-                        const std::shared_ptr<util::TaskQueue>& queue) {
+void RunShardOracleCase(uint64_t seed) {
   // Size and sampling cycle with the seed, so ten consecutive seeds cover
   // every (size, sampling) pair; the rest is drawn.
   const int64_t sizes[] = {511, 512, 513, 1025, 2570};
@@ -557,7 +544,7 @@ void RunShardOracleCase(uint64_t seed,
   ThreadCountGuard guard;
   util::ThreadPool::SetGlobalThreads(threads);
   serve::ShardPlan plan = serve::MakeShardPlan(n, shards);
-  core::LaplacianAggregator aggregator(&views, plan.boundaries, queue);
+  core::LaplacianAggregator aggregator(&views, plan.boundaries);
   core::EvalWorkspace ws;
   core::SpectralObjective objective(&aggregator, k, core::ObjectiveOptions(),
                                     &ws);
@@ -597,8 +584,7 @@ TEST(ShardingTest, SeededRandomShardedEqualsUnsharded) {
   } else {
     for (uint64_t i = 0; i < 10; ++i) seeds.push_back(20261010 + i);
   }
-  auto queue = std::make_shared<util::TaskQueue>(4);
-  for (uint64_t seed : seeds) RunShardOracleCase(seed, queue);
+  for (uint64_t seed : seeds) RunShardOracleCase(seed);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Determinism and correctness tests for the threaded execution layer: the
-// ThreadPool itself, aggregator-vs-WeightedSum equivalence on adversarial
+// ThreadPool itself (concurrent jobs, slot overflow, throwing chunks),
+// aggregator-vs-WeightedSum equivalence on adversarial
 // patterns, bit-identical kernel results across SGLA_THREADS=1,2,8, the
 // k-means exit-path consistency fix, and the unbiased bounded RNG draw.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -109,6 +112,197 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   });
   EXPECT_FALSE(util::ThreadPool::InParallelRegion());
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+/// Polls `ready` until it holds or `seconds` have passed; returns ready().
+/// Tests wait on other threads' progress with this instead of sleeping, so a
+/// pool that serializes jobs fails the test instead of hanging it.
+template <typename Ready>
+bool WaitUntil(const Ready& ready, double seconds = 20.0) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(seconds));
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Two jobs from two threads are in flight together: the first chunk of
+// each job holds until the other job has finished a chunk. A pool that runs
+// one job at a time lets neither wait end, and the bounded waits fail.
+TEST(ThreadPoolTest, ConcurrentJobsBothProgress) {
+  ThreadCountGuard guard;
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::SetGlobalThreads(threads);
+    util::ThreadPool& pool = util::ThreadPool::Global();
+    std::atomic<int> done[2] = {{0}, {0}};
+    std::atomic<bool> timed_out[2] = {{false}, {false}};
+    const auto job = [&](int self) {
+      pool.ParallelFor(0, 32, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t c = lo; c < hi; ++c) {
+          if (c == 0 && !WaitUntil([&] { return done[1 - self].load() > 0; })) {
+            timed_out[self] = true;
+          }
+          ++done[self];
+        }
+      });
+    };
+    std::thread other(job, 1);
+    job(0);
+    other.join();
+    EXPECT_FALSE(timed_out[0].load());
+    EXPECT_FALSE(timed_out[1].load());
+    EXPECT_EQ(done[0].load(), 32);
+    EXPECT_EQ(done[1].load(), 32);
+  }
+}
+
+// Many tiny jobs back to back from more callers than there are slots, so
+// claims race across slots and some jobs overflow to the inline path:
+// every chunk of every job runs exactly once.
+TEST(ThreadPoolTest, TinyJobsFromManyCallersRunEveryChunkOnce) {
+  ThreadCountGuard guard;
+  for (int threads : {4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::SetGlobalThreads(threads);
+    util::ThreadPool& pool = util::ThreadPool::Global();
+    const int callers = util::ThreadPool::kSlots + 4;
+    std::atomic<int64_t> bad_jobs{0};
+    std::vector<std::thread> threads_running;
+    for (int t = 0; t < callers; ++t) {
+      threads_running.emplace_back([&pool, &bad_jobs, t] {
+        std::vector<int> hits(64, 0);
+        for (int j = 0; j < 1000; ++j) {
+          const int64_t n = 2 + (j + t) % 60;
+          pool.ParallelFor(0, n, 1 + (j % 3), [&hits](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i) ++hits[static_cast<size_t>(i)];
+          });
+          for (int64_t i = 0; i < 64; ++i) {
+            if (hits[static_cast<size_t>(i)] != (i < n ? 1 : 0)) {
+              ++bad_jobs;
+              break;
+            }
+          }
+          std::fill(hits.begin(), hits.end(), 0);
+        }
+      });
+    }
+    for (std::thread& t : threads_running) t.join();
+    EXPECT_EQ(bad_jobs.load(), 0);
+  }
+}
+
+// With every slot held by a blocked job, a further job runs inline on its
+// caller in chunk order, and its per-chunk partials equal a pooled run's.
+TEST(ThreadPoolTest, SlotOverflowRunsInlineWithPooledPartials) {
+  ThreadCountGuard guard;
+  util::ThreadPool::SetGlobalThreads(4);
+  util::ThreadPool& pool = util::ThreadPool::Global();
+  std::vector<double> x(10000);
+  Rng rng(3);
+  for (double& v : x) v = rng.Gaussian();
+  const int64_t chunks = util::ThreadPool::NumChunks(0, 10000, 512);
+  const auto partial_sums = [&](std::vector<double>* partials,
+                                std::vector<int>* on_caller) {
+    const std::thread::id caller = std::this_thread::get_id();
+    partials->assign(static_cast<size_t>(chunks), 0.0);
+    on_caller->assign(static_cast<size_t>(chunks), 0);
+    pool.ParallelForChunks(0, 10000, 512,
+                           [&](int64_t chunk, int64_t lo, int64_t hi) {
+      double sum = 0.0;
+      for (int64_t i = lo; i < hi; ++i) sum += x[static_cast<size_t>(i)];
+      (*partials)[static_cast<size_t>(chunk)] = sum;
+      (*on_caller)[static_cast<size_t>(chunk)] =
+          std::this_thread::get_id() == caller &&
+          !util::ThreadPool::InParallelRegion();
+    });
+  };
+  std::vector<double> pooled;
+  std::vector<int> pooled_inline;
+  partial_sums(&pooled, &pooled_inline);
+
+  // Each blocker takes a slot and holds it until the gate opens.
+  std::atomic<bool> gate{false};
+  std::vector<std::atomic<bool>> started(util::ThreadPool::kSlots);
+  for (std::atomic<bool>& s : started) s = false;
+  std::vector<std::thread> blockers;
+  for (int b = 0; b < util::ThreadPool::kSlots; ++b) {
+    blockers.emplace_back([&, b] {
+      pool.ParallelFor(0, 2, 1, [&](int64_t, int64_t) {
+        started[static_cast<size_t>(b)] = true;
+        WaitUntil([&] { return gate.load(); });
+      });
+    });
+  }
+  // Every blocker has a chunk running, so every slot is taken.
+  ASSERT_TRUE(WaitUntil([&] {
+    return std::all_of(started.begin(), started.end(),
+                       [](const std::atomic<bool>& s) { return s.load(); });
+  }));
+  std::vector<double> overflow;
+  std::vector<int> overflow_inline;
+  partial_sums(&overflow, &overflow_inline);
+  gate = true;
+  for (std::thread& t : blockers) t.join();
+
+  EXPECT_EQ(overflow, pooled);
+  // All of the overflowed job ran on its caller, outside any pool job.
+  EXPECT_EQ(overflow_inline, std::vector<int>(static_cast<size_t>(chunks), 1));
+}
+
+// A chunk that throws on a worker: the job drains (no chunk still runs when
+// ParallelFor returns), the first exception is rethrown on the caller, and
+// the pool keeps working. The same holds for a chunk that throws on the
+// caller while workers still run the job's other chunks.
+TEST(ThreadPoolTest, ThrowingChunkIsRethrownOnTheCaller) {
+  ThreadCountGuard guard;
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::SetGlobalThreads(threads);
+    util::ThreadPool& pool = util::ThreadPool::Global();
+    for (bool throw_on_worker : {true, false}) {
+      SCOPED_TRACE(throw_on_worker ? "worker throws" : "caller throws");
+      const std::thread::id caller = std::this_thread::get_id();
+      std::atomic<int> running{0};
+      std::atomic<int> caller_chunks{0};
+      std::atomic<int> worker_chunks{0};
+      bool threw = false;
+      try {
+        pool.ParallelFor(0, 64, 1, [&](int64_t, int64_t) {
+          ++running;
+          const bool on_caller = std::this_thread::get_id() == caller;
+          ++(on_caller ? caller_chunks : worker_chunks);
+          // Each side's chunks wait until the other side has claimed one, so
+          // both a caller-claimed and a worker-claimed index exist whatever
+          // the schedule (blocked workers hold fewer than 64 chunks).
+          std::atomic<int>& other = on_caller ? worker_chunks : caller_chunks;
+          WaitUntil([&] { return other.load() > 0; });
+          if (on_caller != throw_on_worker) {
+            --running;
+            throw std::runtime_error("chunk failed");
+          }
+          --running;
+        });
+      } catch (const std::runtime_error& e) {
+        threw = true;
+        EXPECT_STREQ(e.what(), "chunk failed");
+        EXPECT_EQ(running.load(), 0);
+      }
+      EXPECT_TRUE(threw);
+      EXPECT_GT(caller_chunks.load(), 0);
+      EXPECT_GT(worker_chunks.load(), 0);
+
+      std::vector<int> hits(1000, 0);
+      pool.ParallelFor(0, 1000, 7, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) ++hits[static_cast<size_t>(i)];
+      });
+      EXPECT_EQ(hits, std::vector<int>(1000, 1));
+    }
+  }
 }
 
 /// Temporarily sets (or clears) SGLA_THREADS, restoring the previous value

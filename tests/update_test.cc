@@ -425,7 +425,7 @@ TEST(UpdateAllocationTest, ValueOnlyUpdateResolveHotPathAllocatesNothing) {
   core::LaplacianAggregator before_aggregator(&*views_before);
   // A value-only epoch shares the previous pattern object, pattern_id
   // included, and reports no changed row.
-  core::LaplacianAggregator after_aggregator(&*views_after, {}, nullptr,
+  core::LaplacianAggregator after_aggregator(&*views_after, {},
                                              &before_aggregator);
   ASSERT_EQ(after_aggregator.union_pattern().get(),
             before_aggregator.union_pattern().get());

@@ -23,9 +23,14 @@
 // fingerprints the companion built lazily after the mask -> unmask epochs,
 // so the matrix covers a first build on an epoch that updates published.
 //
-// The final `updated` lines cover incremental updates: a pattern delta and a
+// The `updated` lines cover incremental updates: a pattern delta and a
 // value-only delta on the registered graph (aggregators patched from the
 // previous epoch's), then an exact SGLA solve, at either --quality.
+//
+// The final `embed` line is an exact SGLA+ NetMF embedding of the updated
+// graph (weights, then the embedding's bits), so the matrix covers the
+// NetMF eigensolve too. It comes last: every earlier line is unchanged from
+// dumps taken before it existed.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -328,6 +333,26 @@ int Run(int shards, serve::Quality quality) {
                 HashVector(response->integration.objective_history),
                 HashCsr(response->integration.laplacian),
                 HashVector(response->labels));
+  }
+
+  // SGLA+ NetMF embedding on the updated graph, exact tier at either
+  // --quality.
+  {
+    serve::SolveRequest request;
+    request.graph_id = "bitdump";
+    request.mode = serve::SolveMode::kEmbed;
+    request.algorithm = serve::Algorithm::kSglaPlus;
+    auto response = engine.Solve(request);
+    if (!response.ok()) {
+      std::fprintf(stderr, "embed solve failed: %s\n",
+                   response.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("embed weights=%016" PRIx64 " rows=%" PRId64 " dim=%" PRId64
+                " embedding=%016" PRIx64 "\n",
+                HashVector(response->integration.weights),
+                response->embedding.rows(), response->embedding.cols(),
+                HashVector(response->embedding.data()));
   }
   return 0;
 }
